@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench race chaos-determinism grayfail-determinism shard-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-shard cover
+.PHONY: all build test vet fmt-check detlint ci bench race chaos-determinism grayfail-determinism shard-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-shard perfbench-smoke cover
 
 all: build
 
@@ -147,9 +147,25 @@ bench-chaos:
 
 # bench-shard reproduces (and gates) the BENCH_kernel.json measurement:
 # the classic event loop, the single-node serve loop, the scheduler
-# inner loop, and the sharded kernel's pooled-message hot path in
-# isolation (BenchmarkShardedKernel). `make bench` (and the CI bench
-# job) already executes these once; this target is the recorded
-# baseline's regeneration recipe.
+# inner loop, the cluster router's residency-first pick over a warm
+# 100-node fleet (BenchmarkAffinityPick), and the sharded kernel's
+# pooled-message hot path in isolation (BenchmarkShardedKernel). `make
+# bench` (and the CI bench job) already executes these once; this
+# target is the recorded baseline's regeneration recipe.
 bench-shard:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkAffinityPick|BenchmarkShardedKernel' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+
+# perfbench-smoke runs the repository's benchmark (perfbench/, see
+# BENCHMARK.json) for one host second per workload with tracing off and
+# checks correctness only: each run's JSON result line must report
+# "correct": true and "failed": 0. Wall time is never gated here.
+PERFBENCH_WORKLOADS = fleet-steady fleet-faults paper-grid
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seconds 1 --trace 0) || { \
+			printf '%s\n' "$$out"; echo "perfbench-smoke: $$w: benchmark exited non-zero"; exit 1; }; \
+		printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || { \
+			printf '%s\n' "$$out"; echo "perfbench-smoke: $$w: result not correct or has failed operations"; exit 1; }; \
+		echo "perfbench-smoke: $$w OK"; \
+	done

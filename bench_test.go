@@ -318,6 +318,56 @@ func BenchmarkMinMaxAssign(b *testing.B) {
 	}
 }
 
+// BenchmarkAffinityPick measures one residency-first routing decision
+// across a warm 100-node fleet: BenchmarkFleetServe's nodes after
+// usage-proportional placement, each holding its preloaded experts.
+// Requests cycle through every expert of board A, so picks cover
+// experts held by most of the fleet, by a few nodes, and by none (the
+// least-loaded fallback). A residency probe is one read of the node's
+// per-expert count, so the decision is O(nodes) with zero allocations.
+func BenchmarkAffinityPick(b *testing.B) {
+	dev := hw.NUMADevice()
+	board, err := workload.BoardA().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	perf, err := coserve.Profile(dev, coserve.EvalArchitectures())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, c := core.DefaultExecutors(dev)
+	node := core.Config{
+		Device: dev, Variant: core.CoServe,
+		GPUExecutors: g, CPUExecutors: c,
+		Alloc: core.CasualAllocation(dev, perf, g, c), Perf: perf,
+		SLO:          500 * time.Millisecond,
+		DisablePicks: true,
+	}
+	cl, err := coserve.NewCluster(coserve.ClusterConfig{
+		Nodes:     coserve.UniformNodes(100, node),
+		Router:    cluster.Affinity{},
+		Placement: cluster.UsageProportional{},
+		SLO:       node.SLO,
+	}, board.Model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := cl.Nodes()
+	reqs := make([]*coe.Request, board.Model.NumExperts())
+	for i := range reqs {
+		reqs[i] = coe.NewRequest(int64(i), 0, []coe.ExpertID{coe.ExpertID(i)})
+	}
+	router := cluster.Affinity{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pickSink = router.Pick(0, nodes, reqs[i%len(reqs)])
+	}
+}
+
+// pickSink keeps BenchmarkAffinityPick's result live.
+var pickSink int
+
 // BenchmarkGroupedEnqueue measures the queue arranging hot path: one
 // merge into an existing group plus the gate notify, the per-request
 // cost Enqueue pays after assignment.
@@ -386,7 +436,7 @@ func BenchmarkDepAwareEviction(b *testing.B) {
 	for i, e := range m.Experts() {
 		e.UsageProb = float64(i%17) / 17
 	}
-	p := pool.New("bench", 61*model.ResNet101.WeightBytes(), store, 0, pool.DepAware{}, env.Now)
+	p := pool.New("bench", 61*model.ResNet101.WeightBytes(), store, 0, pool.DepAware{}, env.Now, make([]int32, m.NumExperts()))
 	for _, id := range ids {
 		p.Preload(m.Expert(id))
 	}

@@ -70,21 +70,53 @@ type chaosState struct {
 
 	// Hedge accounting. A fired hedge puts a second copy of a leased
 	// request on another node; the first completion resolves the lease
-	// and the loser — tracked in orphans by holding node — surfaces as
-	// wasted work when it completes (or as a voided hedge when a crash
-	// takes it first), never as a second completion.
+	// and the loser — counted in orphans by request and holding node —
+	// surfaces as wasted work when it completes (or as a voided hedge
+	// when a crash takes it first), never as a second completion. Every
+	// fired hedge therefore ends exactly once as wasted or voided.
 	hedgesFired   int64 // hedge copies successfully admitted
 	hedgeWins     int64 // leases resolved by the hedge copy
 	hedgeWasted   int64 // loser copies that completed (work done twice)
 	hedgeRejected int64 // hedge copies node admission refused
 	hedgeRetries  int64 // deadline re-arms after a failed hedge attempt
 	hedgePromoted int64 // primaries lost to a crash, lease taken by the hedge
-	hedgesVoided  int64 // hedge copies destroyed by crashes before completing
-	orphans       map[int64]int
+	hedgesVoided  int64 // races whose losing copy a crash destroyed (the hedge copy, or the primary on promotion)
+	orphans       map[orphanKey]int
 
 	failoverSum time.Duration
 	failoverMax time.Duration
 	failoverN   int64
+}
+
+// orphanKey names the orphaned copies of one request on one node: the
+// losers of hedge races and, on the sharded kernel, hedge copies
+// admitted after their lease resolved or was voided. One request can
+// leave orphans on several nodes (and more than one on a node) when it
+// is hedged again after a crash or a redelivery, so they are counted
+// per node rather than remembered once per request.
+type orphanKey struct {
+	id   int64
+	node int
+}
+
+// addOrphan records an orphaned copy of request id on node.
+func (cs *chaosState) addOrphan(id int64, node int) {
+	cs.orphans[orphanKey{id, node}]++
+}
+
+// takeOrphan consumes one orphaned copy of request id on node,
+// reporting whether there was one.
+func (cs *chaosState) takeOrphan(id int64, node int) bool {
+	k := orphanKey{id, node}
+	switch n := cs.orphans[k]; n {
+	case 0:
+		return false
+	case 1:
+		delete(cs.orphans, k)
+	default:
+		cs.orphans[k] = n - 1
+	}
+	return true
 }
 
 // lease is one request's durable-delivery record: identity, the chain
@@ -121,7 +153,7 @@ func newChaosState(nodes int, arena *coe.Arena) *chaosState {
 		arena:   arena,
 		ledger:  make(map[int64]*lease),
 		byNode:  make([][]int64, nodes),
-		orphans: make(map[int64]int),
+		orphans: make(map[orphanKey]int),
 	}
 }
 
@@ -266,16 +298,18 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 		// the original admission.
 		var voided []*lease
 		for _, id := range cs.byNode[ev.Node] {
+			if k := (orphanKey{id, ev.Node}); cs.orphans[k] > 0 {
+				// This node holds orphaned copies — losers of hedge races,
+				// or (sharded kernel only) hedges admitted after their
+				// lease resolved or was voided into a redelivery. They die
+				// here (the node's own drop accounting records them) and
+				// are no longer expected to surface as waste.
+				cs.hedgesVoided += int64(cs.orphans[k])
+				delete(cs.orphans, k)
+			}
 			l := cs.ledger[id]
 			if l == nil {
-				// Resolved since — but if this node holds the losing copy of
-				// a hedge race, it dies here (the node's own drop accounting
-				// records it) and is no longer expected to surface as waste.
-				if on, ok := cs.orphans[id]; ok && on == ev.Node {
-					delete(cs.orphans, id)
-					cs.hedgesVoided++
-				}
-				continue
+				continue // resolved since
 			}
 			if l.node != ev.Node {
 				if l.hedgeNode == ev.Node {
@@ -284,22 +318,19 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 					l.hedgeNode = -1
 					cs.hedgesVoided++
 					c.armHedge(l, c.hedge.After)
-				} else if on, ok := cs.orphans[id]; ok && on == ev.Node {
-					// Sharded kernel only: an orphaned duplicate (its lease
-					// was resolved or redelivered elsewhere while the copy
-					// flew) dies with the node before surfacing as waste.
-					delete(cs.orphans, id)
-					cs.hedgesVoided++
 				}
 				continue // moved since; stale byNode entry
 			}
 			if l.hedgeNode >= 0 {
 				// The primary died but its hedge copy holds the work:
 				// promote the hedge to primary — no void, no redelivery.
-				// byNode on the hedge's node already tracks the ID.
+				// byNode on the hedge's node already tracks the ID. The
+				// race is over and its losing copy — the primary — died
+				// with this node, so the hedge counts as voided.
 				l.node = l.hedgeNode
 				l.hedgeNode = -1
 				cs.hedgePromoted++
+				cs.hedgesVoided++
 				c.armHedge(l, c.hedge.After)
 				continue
 			}

@@ -690,8 +690,7 @@ func (c *Cluster) requestDone(p *sim.Proc, idx int, r *coe.Request) {
 	if cs := c.chaos; cs != nil {
 		l := cs.ledger[r.ID]
 		if l == nil {
-			if on, ok := cs.orphans[r.ID]; ok && on == idx {
-				delete(cs.orphans, r.ID)
+			if cs.takeOrphan(r.ID, idx) {
 				cs.hedgeWasted++
 				return
 			}
@@ -704,9 +703,9 @@ func (c *Cluster) requestDone(p *sim.Proc, idx int, r *coe.Request) {
 			// completion counts as hedge waste, not as a duplicate ack.
 			if idx == l.hedgeNode {
 				cs.hedgeWins++
-				cs.orphans[r.ID] = l.node
+				cs.addOrphan(r.ID, l.node)
 			} else {
-				cs.orphans[r.ID] = l.hedgeNode
+				cs.addOrphan(r.ID, l.hedgeNode)
 			}
 		}
 		if h := c.health; h != nil {

@@ -133,8 +133,10 @@ type Report struct {
 	// completed anyway (the wasted-work bill); HedgeRejected copies
 	// node admission refused; HedgeRetries deadline re-arms after a
 	// failed attempt; HedgePromoted primaries lost to a crash whose
-	// hedge copy took over the lease; HedgesVoided copies destroyed by
-	// crashes before completing.
+	// hedge copy took over the lease; HedgesVoided races whose losing
+	// copy a crash destroyed (the hedge copy, or the primary of a
+	// promotion). Every fired hedge ends exactly once as wasted or
+	// voided: HedgesFired == HedgeWasted + HedgesVoided.
 	HedgesFired   int64
 	HedgeWins     int64
 	HedgeWasted   int64

@@ -221,6 +221,10 @@ func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Reques
 // lease ledger, fleet recorder, health scoring, and hedge arming all
 // advance here, one hop after the node issued the receipt.
 func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+	if receipt.Epoch != c.nodes[idx].sys.Epoch() {
+		c.crashedAcceptFold(now, idx, kind, r, tenant, l, receipt)
+		return
+	}
 	cs := c.chaos
 	switch kind {
 	case offerPrimary:
@@ -261,10 +265,65 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		} else {
 			// The lease resolved — or was voided into a redelivery — while
 			// the hedge flew. The node admitted a duplicate nobody tracks a
-			// lease for; record it so its completion counts as hedge waste,
-			// exactly like a lost hedge race.
-			cs.orphans[r.ID] = idx
+			// lease for: it is a fired hedge all the same. Record it as an
+			// orphan on its node so its completion counts as hedge waste,
+			// exactly like a lost hedge race, and a crash of the node as a
+			// voided hedge.
+			cs.hedgesFired++
+			cs.addOrphan(r.ID, idx)
+			cs.byNode[idx] = append(cs.byNode[idx], r.ID)
 			cs.releaseIfResolved(l)
+		}
+	}
+	c.maybeClose()
+}
+
+// crashedAcceptFold lands an admission that a crash voided while its
+// fold was on the wire: the crash's lease walk could not see the copy,
+// and the crash purged it (or voids it when its batch unwinds). A
+// primary or redelivery opens its lease as voided at this instant and
+// is redelivered, or parked when nothing is routable; a hedge copy
+// counts as fired and voided, and its lease may hedge again. The
+// request object is only read here: the node's drop fold (or, when
+// the copy completed before the crash, its completion fold) owns it.
+func (c *Cluster) crashedAcceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+	cs := c.chaos
+	switch kind {
+	case offerPrimary:
+		cs.offersInFlight--
+		c.recorder.Arrival(now)
+		l = cs.open(idx, receipt, workload.TimedRequest{Req: r, Tenant: tenant}, now)
+	case offerRedeliver:
+		cs.offersInFlight--
+		if l.hasArrival {
+			cs.redelivered++
+			l.redeliveries++
+		} else {
+			l.hasArrival = true
+			l.arrival = receipt.Issued
+			c.recorder.Arrival(now)
+		}
+	case offerHedge:
+		cs.hedgeOffers--
+		l.hedgeInFlight = false
+		cs.hedgesFired++
+		cs.hedgesVoided++
+		if cs.ledger[l.id] == l && l.node >= 0 {
+			c.armHedge(l, c.hedge.After)
+		} else {
+			cs.releaseIfResolved(l)
+		}
+		c.maybeClose()
+		return
+	}
+	delete(cs.ledger, l.id)
+	l.node = -1
+	l.voidedAt = now
+	cs.lostLeases++
+	if !c.shardRedeliver(now, l) {
+		cs.pending = append(cs.pending, l)
+		if len(cs.pending) > cs.pendingPeak {
+			cs.pendingPeak = len(cs.pending)
 		}
 	}
 	c.maybeClose()
@@ -364,8 +423,7 @@ func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 	cs := c.chaos
 	l := cs.ledger[r.ID]
 	if l == nil || (idx != l.node && idx != l.hedgeNode) {
-		if on, ok := cs.orphans[r.ID]; ok && on == idx {
-			delete(cs.orphans, r.ID)
+		if cs.takeOrphan(r.ID, idx) {
 			cs.hedgeWasted++
 		} else {
 			cs.dupAcks++
@@ -377,9 +435,9 @@ func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 	if l.hedgeNode >= 0 {
 		if idx == l.hedgeNode {
 			cs.hedgeWins++
-			cs.orphans[r.ID] = l.node
+			cs.addOrphan(r.ID, l.node)
 		} else {
-			cs.orphans[r.ID] = l.hedgeNode
+			cs.addOrphan(r.ID, l.hedgeNode)
 		}
 	}
 	if h := c.health; h != nil {

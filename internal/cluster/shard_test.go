@@ -145,6 +145,128 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 	}
 }
 
+// slowInterconnect makes every hop take tens of milliseconds, so
+// offers and folds are on the wire long enough to race crashes and
+// lease resolutions.
+var slowInterconnect = Interconnect{
+	Dispatch:   5 * time.Millisecond,
+	IntraBoard: 20 * time.Millisecond,
+	InterNode:  40 * time.Millisecond,
+	BoardSize:  2,
+}
+
+// twoCrashes crashes node 2 and then node 0, one second each.
+var twoCrashes = []sim.FaultEvent{
+	{At: 2 * time.Second, Node: 2, Kind: sim.FaultCrash},
+	{At: 3 * time.Second, Node: 2, Kind: sim.FaultRecover},
+	{At: 5 * time.Second, Node: 0, Kind: sim.FaultCrash},
+	{At: 6 * time.Second, Node: 0, Kind: sim.FaultRecover},
+}
+
+// TestShardedCrashVoidsAdmissionOnTheWire pins the crash/admission
+// race: a node admits a request, crashes before the accept fold
+// reaches the coordinator, and purges it. The fold's receipt carries
+// the node's crash epoch, so the coordinator sees the admission was
+// voided and redelivers the request instead of opening a lease on a
+// copy that no longer exists (which left the stream unable to close).
+func TestShardedCrashVoidsAdmissionOnTheWire(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := shardConfig(t, 2, &sim.FaultPlan{Events: twoCrashes}, HealthConfig{}, HedgeConfig{})
+		cfg.Interconnect = slowInterconnect
+		rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 30, 300, seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if rep.LostLeases == 0 {
+			t.Fatalf("seed %d: the crashes voided no leases; the test exercises nothing", seed)
+		}
+		if rep.Completions+rep.RedeliveredRejected != rep.N {
+			t.Errorf("seed %d: exactly-once broken: %d completions + %d rejected != %d arrivals",
+				seed, rep.Completions, rep.RedeliveredRejected, rep.N)
+		}
+	}
+}
+
+// TestHedgeAccountingUnderCrashes pins the hedge identity — every
+// fired hedge ends exactly once as wasted or voided — when crashes
+// race hedged leases, on both kernels: a crash of the primary's node
+// promotes the hedge copy (the race's losing copy died with the
+// node), a crash can void orphaned copies, and a lease hedged again
+// after a crash or redelivery can leave orphans on several nodes. The
+// straggler plan also crashes the straggler mid-batch and restarts it
+// while its old batch is still executing.
+func TestHedgeAccountingUnderCrashes(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	stragglerCrash := []sim.FaultEvent{
+		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
+		{At: 4 * time.Second, Node: 1, Kind: sim.FaultCrash},
+		{At: 5 * time.Second, Node: 1, Kind: sim.FaultRecover},
+		{At: 6 * time.Second, Node: 3, Kind: sim.FaultCrash},
+		{At: 9 * time.Second, Node: 3, Kind: sim.FaultRecover},
+	}
+	for _, ic := range []Interconnect{{}, slowInterconnect} {
+		for _, tc := range []struct {
+			plan   []sim.FaultEvent
+			health HealthConfig
+		}{{twoCrashes, HealthConfig{}}, {stragglerCrash, grayHealth}} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := shardConfig(t, 2, &sim.FaultPlan{Events: tc.plan}, tc.health, HedgeConfig{After: time.Second})
+				cfg.Interconnect = ic
+				rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 30, 300, seed))
+				if err != nil {
+					t.Fatalf("interconnect %v seed %d: %v", ic.InterNode, seed, err)
+				}
+				if rep.HedgesFired == 0 || rep.LostLeases+rep.HedgePromoted == 0 {
+					t.Fatalf("interconnect %v seed %d: %d hedges, %d lost leases, %d promotions; the test exercises nothing",
+						ic.InterNode, seed, rep.HedgesFired, rep.LostLeases, rep.HedgePromoted)
+				}
+				if rep.HedgeWasted+rep.HedgesVoided != rep.HedgesFired {
+					t.Errorf("interconnect %v seed %d: hedge accounting leaks: %d wasted + %d voided != %d fired (%d promoted)",
+						ic.InterNode, seed, rep.HedgeWasted, rep.HedgesVoided, rep.HedgesFired, rep.HedgePromoted)
+				}
+				if rep.Completions+rep.RedeliveredRejected != rep.N {
+					t.Errorf("interconnect %v seed %d: exactly-once broken: %d completions + %d rejected != %d arrivals",
+						ic.InterNode, seed, rep.Completions, rep.RedeliveredRejected, rep.N)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedLateHedgeCountsAsFired pins the hedge identity on the
+// sharded kernel: every fired hedge ends exactly once as wasted or
+// voided. Under a slow interconnect a hedge offer flies for tens of
+// milliseconds, long enough for its lease to resolve before the copy
+// is admitted; that late copy is still a fired hedge and its
+// completion still counts as waste. Each of these seeds lands such a
+// late copy behind a 150x straggler.
+func TestShardedLateHedgeCountsAsFired(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
+		{At: 20 * time.Second, Node: 1, Kind: sim.FaultRecover},
+	}}
+	for _, seed := range []int64{4, 6, 7, 8} {
+		cfg := shardConfig(t, 2, plan, grayHealth, HedgeConfig{After: time.Second})
+		cfg.Interconnect = slowInterconnect
+		rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 8, 120, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.HedgesFired == 0 {
+			t.Fatalf("seed %d: no hedge fired; the test exercises nothing", seed)
+		}
+		if rep.HedgeWasted+rep.HedgesVoided != rep.HedgesFired {
+			t.Errorf("seed %d: hedge accounting leaks: %d wasted + %d voided != %d fired",
+				seed, rep.HedgeWasted, rep.HedgesVoided, rep.HedgesFired)
+		}
+		if rep.Completions != rep.N {
+			t.Errorf("seed %d: %d completions of %d arrivals", seed, rep.Completions, rep.N)
+		}
+	}
+}
+
 // TestShardedReopenDeterministic pins warm restarts on the sharded
 // kernel: consecutive Serve calls reopen every partition (worker
 // clocks lag the coordinator between streams), hedge timers and leases

@@ -60,15 +60,26 @@ type Expert struct {
 	// UsageProb is the pre-assessed probability that a random request
 	// uses this expert (§4.5); the expert manager's stage-2 eviction key.
 	UsageProb float64
+
+	// archIdx is Arch's position in the model's interned architecture
+	// list (Model.Architectures), assigned by Builder.Build.
+	archIdx int
 }
 
 // WeightBytes reports the expert's loaded size.
 func (e *Expert) WeightBytes() int64 { return e.Arch.WeightBytes() }
 
+// ArchIndex reports the expert's architecture as an index into its
+// model's Architectures: experts of one architecture share every
+// profiled cost, so per-architecture tables indexed by it replace
+// name-keyed performance-matrix lookups on the scheduling hot path.
+func (e *Expert) ArchIndex() int { return e.archIdx }
+
 // Model is an immutable CoE model: the expert pool plus routing rules.
 type Model struct {
 	name    string
 	experts []*Expert
+	archs   []model.Architecture
 	router  *RuleRouter
 }
 
@@ -89,6 +100,11 @@ func (m *Model) Expert(id ExpertID) *Expert {
 // Experts returns all experts in ID order. Callers must not mutate the
 // returned slice.
 func (m *Model) Experts() []*Expert { return m.experts }
+
+// Architectures returns the model's distinct expert architectures,
+// sorted by name; Expert.ArchIndex indexes it. Callers must not mutate
+// the returned slice.
+func (m *Model) Architectures() []model.Architecture { return m.archs }
 
 // Router returns the model's routing module.
 func (m *Model) Router() *RuleRouter { return m.router }
@@ -254,6 +270,23 @@ func (b *Builder) Build() (*Model, error) {
 	return &Model{
 		name:    b.name,
 		experts: b.experts,
+		archs:   b.internArchs(),
 		router:  &RuleRouter{rules: b.rules},
 	}, nil
+}
+
+// internArchs collects the experts' distinct architectures sorted by
+// name and points every expert at its entry.
+func (b *Builder) internArchs() []model.Architecture {
+	var archs []model.Architecture
+	for _, e := range b.experts {
+		if !slices.ContainsFunc(archs, func(a model.Architecture) bool { return a.Name == e.Arch.Name }) {
+			archs = append(archs, e.Arch)
+		}
+	}
+	slices.SortFunc(archs, func(a, b model.Architecture) int { return cmp.Compare(a.Name, b.Name) })
+	for _, e := range b.experts {
+		e.archIdx = slices.IndexFunc(archs, func(a model.Architecture) bool { return a.Name == e.Arch.Name })
+	}
+	return archs
 }

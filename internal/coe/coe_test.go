@@ -30,6 +30,36 @@ func buildTestModel(t *testing.T) (*Model, []ExpertID, ExpertID) {
 	return m, cls, det
 }
 
+func TestBuildInternsArchitectures(t *testing.T) {
+	b := NewBuilder("archs")
+	ids := []ExpertID{
+		b.AddExpert("a", model.YOLOv5m, Preliminary),
+		b.AddExpert("b", model.ResNet101, Preliminary),
+		b.AddExpert("c", model.YOLOv5m, Preliminary),
+		b.AddExpert("d", model.YOLOv5l, Preliminary),
+	}
+	b.AddRule(0, Rule{Classifier: ids[0]})
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := m.Architectures()
+	want := []string{"resnet101", "yolov5l", "yolov5m"} // distinct, sorted by name
+	if len(archs) != len(want) {
+		t.Fatalf("Architectures() = %v, want %v", archs, want)
+	}
+	for i, a := range archs {
+		if a.Name != want[i] {
+			t.Errorf("Architectures()[%d] = %s, want %s", i, a.Name, want[i])
+		}
+	}
+	for _, e := range m.Experts() {
+		if got := archs[e.ArchIndex()]; got.Name != e.Arch.Name {
+			t.Errorf("expert %s: ArchIndex %d names %s, want %s", e.Name, e.ArchIndex(), got.Name, e.Arch.Name)
+		}
+	}
+}
+
 func TestBuilderLinksDependencies(t *testing.T) {
 	m, cls, det := buildTestModel(t)
 	d := m.Expert(det)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"repro/internal/coe"
@@ -45,6 +43,11 @@ type System struct {
 	executors []*executor.Executor
 	pools     []*pool.Pool
 	assigner  sched.Assigner
+
+	// holds counts, per ExpertID, the pools holding the expert (Loaded
+	// or Loading); the pools maintain it (pool.New), ExpertResident
+	// reads it.
+	holds []int32
 
 	gpuActs, cpuActs *memory.Arena
 
@@ -117,34 +120,24 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 	cfg = cfg.normalized()
 
 	var largestWeight, largestGPUAct, largestCPUAct int64
-	archSet := map[string]model.Architecture{}
-	for _, e := range m.Experts() {
-		archSet[e.Arch.Name] = e.Arch
-	}
-	// Sort by name: map iteration order must not leak into validation
-	// errors or Perf.Covers behavior. (AppendSeq into a presized slice
-	// rather than slices.Sorted: NewSystem is on the serve benchmarks'
-	// allocation budget.)
-	archNames := slices.AppendSeq(make([]string, 0, len(archSet)), maps.Keys(archSet))
-	slices.Sort(archNames)
-	archs := make([]model.Architecture, len(archNames))
-	for i, name := range archNames {
-		archs[i] = archSet[name]
-	}
+	archs := m.Architectures()
+	// perfs holds the profiled costs the queues and executors consult on
+	// every prediction and batch group: one row per processor kind (GPU
+	// first, then CPU) of one entry per model architecture, indexed by
+	// coe.Expert.ArchIndex — a few entries per node instead of a
+	// name-keyed matrix lookup per call.
+	var perfs []model.Perf
 	if cfg.Perf != nil {
 		if err := cfg.Perf.Covers(archs); err != nil {
 			return nil, err
 		}
-		for _, a := range archs {
-			if w := a.WeightBytes(); w > largestWeight {
-				largestWeight = w
-			}
-			if act := cfg.Perf.MustLookup(a.Name, hw.GPU).ActPerImage; act > largestGPUAct {
-				largestGPUAct = act
-			}
-			if act := cfg.Perf.MustLookup(a.Name, hw.CPU).ActPerImage; act > largestCPUAct {
-				largestCPUAct = act
-			}
+		perfs = make([]model.Perf, 2*len(archs))
+		for i, a := range archs {
+			gpu, cpu := cfg.Perf.MustLookup(a.Name, hw.GPU), cfg.Perf.MustLookup(a.Name, hw.CPU)
+			perfs[i], perfs[len(archs)+i] = gpu, cpu
+			largestWeight = max(largestWeight, a.WeightBytes())
+			largestGPUAct = max(largestGPUAct, gpu.ActPerImage)
+			largestCPUAct = max(largestCPUAct, cpu.ActPerImage)
 		}
 	}
 	if err := cfg.validate(largestWeight, largestGPUAct, largestCPUAct); err != nil {
@@ -164,6 +157,7 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 		recorder: metrics.NewRecorder(),
 		measure:  cfg.PreschedPicks == nil,
 		ownsEnv:  ownsEnv,
+		holds:    make([]int32, m.NumExperts()),
 	}
 	s.store = pool.NewStore(s.env, cfg.Device, cfg.Alloc.HostCacheBytes)
 	if cfg.PreschedPicks != nil {
@@ -189,10 +183,10 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 	// executor owns a pool.
 	var sharedGPU, sharedCPU *pool.Pool
 	if cfg.Variant.sharedPools() {
-		sharedGPU = pool.New(prefix+"gpu-shared", cfg.Alloc.GPUExpertBytes, s.store, memory.TierGPU, cfg.evictPolicy(), s.env.Now)
+		sharedGPU = pool.New(prefix+"gpu-shared", cfg.Alloc.GPUExpertBytes, s.store, memory.TierGPU, cfg.evictPolicy(), s.env.Now, s.holds)
 		s.pools = append(s.pools, sharedGPU)
 		if cfg.CPUExecutors > 0 {
-			sharedCPU = pool.New(prefix+"cpu-shared", cfg.Alloc.CPUExpertBytes, s.store, memory.TierCPU, cfg.evictPolicy(), s.env.Now)
+			sharedCPU = pool.New(prefix+"cpu-shared", cfg.Alloc.CPUExpertBytes, s.store, memory.TierCPU, cfg.evictPolicy(), s.env.Now, s.holds)
 			s.pools = append(s.pools, sharedCPU)
 		}
 	}
@@ -205,6 +199,7 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 			acts    *memory.Arena
 			compute *sim.Resource
 			pl      *pool.Pool
+			perf    []model.Perf
 		)
 		proc := cfg.Device.Proc(kind)
 		if kind == hw.GPU {
@@ -214,6 +209,7 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 			acts = s.gpuActs
 			compute = gpuCompute
 			pl = sharedGPU
+			perf = perfs[:len(archs)]
 		} else {
 			name = fmt.Sprintf("%scpu%d", prefix, i)
 			tier = memory.TierCPU
@@ -221,17 +217,15 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 			acts = s.cpuActs
 			compute = cpuCompute
 			pl = sharedCPU
+			perf = perfs[len(archs):]
 		}
 		if pl == nil {
-			pl = pool.New(name, poolCap, s.store, tier, cfg.evictPolicy(), s.env.Now)
+			pl = pool.New(name, poolCap, s.store, tier, cfg.evictPolicy(), s.env.Now, s.holds)
 			s.pools = append(s.pools, pl)
 		}
-		perfFor := func(e *coe.Expert) model.Perf {
-			return cfg.Perf.MustLookup(e.Arch.Name, kind)
-		}
 		q := sched.NewQueue(s.env, name, cfg.Variant.queueMode(), sched.Costs{
-			K:           func(e *coe.Expert) time.Duration { return perfFor(e).K },
-			B:           func(e *coe.Expert) time.Duration { return perfFor(e).B },
+			K:           func(e *coe.Expert) time.Duration { return perf[e.ArchIndex()].K },
+			B:           func(e *coe.Expert) time.Duration { return perf[e.ArchIndex()].B },
 			PredictLoad: func(e *coe.Expert) time.Duration { return s.store.PredictLoad(e, tier) },
 			IsLoaded:    pl.IsLoaded,
 		})
@@ -245,10 +239,10 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 			Pool:    pl,
 			Compute: compute,
 			Acts:    acts,
-			Perf:    perfFor,
+			Perf:    func(e *coe.Expert) model.Perf { return perf[e.ArchIndex()] },
 			Done:    s.streamDone,
 			OnBatch: s.onBatch,
-			Epoch:   s.crashEpoch,
+			Epoch:   s.Epoch,
 			OnVoid:  s.onVoid,
 			Degrade: s.degrade,
 		}
@@ -453,15 +447,10 @@ func (s *System) LoadedExperts() int {
 
 // ExpertResident reports whether the expert is resident — Loaded or with
 // a load in flight — in any of the system's pools. Cluster routers use
-// it for expert-affinity placement of arriving requests.
-func (s *System) ExpertResident(id coe.ExpertID) bool {
-	for _, pl := range s.pools {
-		if pl.Resident(id) {
-			return true
-		}
-	}
-	return false
-}
+// it for expert-affinity placement of arriving requests, asking every
+// node on every arrival, so it is one read of the residency count the
+// pools keep current rather than a probe of each pool.
+func (s *System) ExpertResident(id coe.ExpertID) bool { return s.holds[id] > 0 }
 
 // dispatch assigns a request's current stage to a queue (§4.2). The
 // assigner only sees the active queue set — the autoscaler's scaling
@@ -512,11 +501,6 @@ func (s *System) dispatch(r *coe.Request) {
 func (s *System) streamDone() bool {
 	return s.state == NodeDown || (s.ctrl != nil && s.ctrl.finished)
 }
-
-// crashEpoch is the executors' Epoch hook: it advances on every Crash,
-// letting an executor mid-batch at the crash instant discard the
-// batch's results instead of acking voided work.
-func (s *System) crashEpoch() int { return s.epoch }
 
 // onBatch forwards stage completions to the active stream's controller.
 func (s *System) onBatch(p *sim.Proc, r *coe.Request) {
@@ -716,7 +700,7 @@ func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	if !s.ctrl.offer(now, tr) {
 		return Lease{}, false
 	}
-	return Lease{Request: tr.Req.ID, Node: s.cfg.ID, Issued: now}, true
+	return Lease{Request: tr.Req.ID, Node: s.cfg.ID, Issued: now, Epoch: s.epoch}, true
 }
 
 // CloseStream marks a joined stream's arrival process exhausted: once

@@ -47,10 +47,20 @@ type Lease struct {
 	Node string
 	// Issued is the virtual instant the node admitted the request.
 	Issued sim.Time
+	// Epoch is the node's crash epoch at admission (see Epoch). A
+	// receipt whose epoch is behind the node's current one was voided by
+	// a crash: the node no longer holds the request.
+	Epoch int
 }
 
 // State reports the node's lifecycle state.
 func (s *System) State() NodeState { return s.state }
+
+// Epoch reports the node's crash epoch, which advances on every crash.
+// It is the executors' Epoch hook — an executor mid-batch at the crash
+// instant discards the batch's results instead of acking voided work —
+// and it stamps every lease receipt (Lease.Epoch).
+func (s *System) Epoch() int { return s.epoch }
 
 // Serving reports whether the system currently has a stream open (Serve
 // in progress, or JoinStream without its StreamReport yet).

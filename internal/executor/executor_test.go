@@ -44,7 +44,7 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 		t.Fatal(err)
 	}
 
-	pl := pool.New("gpu0", poolCap, store, memory.TierGPU, pool.LRU{}, env.Now)
+	pl := pool.New("gpu0", poolCap, store, memory.TierGPU, pool.LRU{}, env.Now, make([]int32, m.NumExperts()))
 	perf := func(e *coe.Expert) model.Perf {
 		return model.Perf{
 			Arch:        e.Arch,
@@ -217,7 +217,7 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	done := false
 	var finished int
 	mk := func(name string, preload coe.ExpertID) *Executor {
-		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now)
+		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now, make([]int32, m.NumExperts()))
 		pl.Preload(m.Expert(preload))
 		q := sched.NewQueue(env, name, sched.ModeGrouped, sched.Costs{
 			K:           func(e *coe.Expert) time.Duration { return model.KCoeff(e.Arch, dev.GPU) },

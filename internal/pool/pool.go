@@ -77,6 +77,14 @@ type Pool struct {
 	entries map[coe.ExpertID]*Entry
 	seq     int64
 
+	// holds is the owning node's residency count, indexed by ExpertID
+	// and shared by all of its pools: entry i counts the pools holding
+	// expert i, Loaded or Loading. The pool keeps it current at its
+	// only mutation points — Preload and Acquire insert, evict deletes
+	// — so "does the node hold e?" is one slice read instead of a map
+	// probe per pool.
+	holds []int32
+
 	// scratch backs LoadedUnpinned so every eviction decision reuses one
 	// candidate buffer instead of allocating a fresh slice.
 	scratch []*Entry
@@ -90,8 +98,11 @@ type Pool struct {
 }
 
 // New returns an empty pool with the given expert-memory capacity,
-// backed by the device store, holding experts in the given tier.
-func New(name string, capacity int64, store *Store, tier memory.Tier, policy Policy, now func() sim.Time) *Pool {
+// backed by the device store, holding experts in the given tier. holds
+// is the residency count the pool maintains: one slice per node, shared
+// by all of the node's pools, with an entry for every ExpertID the pool
+// may hold.
+func New(name string, capacity int64, store *Store, tier memory.Tier, policy Policy, now func() sim.Time, holds []int32) *Pool {
 	if policy == nil {
 		panic("pool: nil policy")
 	}
@@ -103,6 +114,7 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 		policy:  policy,
 		now:     now,
 		entries: make(map[coe.ExpertID]*Entry),
+		holds:   holds,
 	}
 }
 
@@ -125,9 +137,10 @@ func (p *Pool) IsLoaded(id coe.ExpertID) bool {
 }
 
 // Resident reports whether the expert occupies the pool at all — Loaded,
-// or Loading with the switch-in still in flight. Cluster routers use it
-// for expert affinity: a request routed to a pool whose expert is
-// already loading pays the remaining wait, not a fresh switch.
+// or Loading with the switch-in still in flight: a request routed to a
+// pool whose expert is already loading pays the remaining wait, not a
+// fresh switch. It is exactly the pool's share of the node's residency
+// count (see New), which cluster routers read instead.
 func (p *Pool) Resident(id coe.ExpertID) bool {
 	_, ok := p.entries[id]
 	return ok
@@ -192,6 +205,7 @@ func (p *Pool) Preload(e *coe.Expert) bool {
 		Status:  Loaded,
 		LoadSeq: p.seq,
 	}
+	p.holds[e.ID]++
 	return true
 }
 
@@ -236,6 +250,7 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		ready:   sim.NewEvent(proc.Env()),
 	}
 	p.entries[e.ID] = entry
+	p.holds[e.ID]++
 
 	src, d := p.store.Fetch(proc, e, p.tier)
 	p.loadTime += d
@@ -278,6 +293,7 @@ func (p *Pool) evict(need int64) {
 			panic(fmt.Sprintf("pool %s: policy chose invalid victim %d", p.name, id))
 		}
 		delete(p.entries, id)
+		p.holds[id]--
 		p.arena.Release(entry.Bytes)
 		p.store.demote(entry.Expert, p.tier)
 		p.evictions++

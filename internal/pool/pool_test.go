@@ -42,15 +42,15 @@ func testWorld(t *testing.T, cacheBytes int64, nCls int) (*sim.Env, *Store, *coe
 	return env, store, m
 }
 
-func newPool(env *sim.Env, store *Store, capacity int64, pol Policy) *Pool {
-	return New("gpu0", capacity, store, memory.TierGPU, pol, env.Now)
+func newPool(env *sim.Env, store *Store, m *coe.Model, capacity int64, pol Policy) *Pool {
+	return New("gpu0", capacity, store, memory.TierGPU, pol, env.Now, make([]int32, m.NumExperts()))
 }
 
 const rn101 = 178_196_640 // ResNet101 weight bytes
 
 func TestPreload(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
-	p := newPool(env, store, 2*rn101+rn101/2, LRU{})
+	p := newPool(env, store, m, 2*rn101+rn101/2, LRU{})
 	if !p.Preload(m.Expert(0)) || !p.Preload(m.Expert(1)) {
 		t.Fatal("preload of two experts failed")
 	}
@@ -67,7 +67,7 @@ func TestPreload(t *testing.T) {
 
 func TestAcquireHitNoSwitch(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
-	p := newPool(env, store, 4*rn101, LRU{})
+	p := newPool(env, store, m, 4*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	var switched bool
 	env.Go("x", func(proc *sim.Proc) {
@@ -88,7 +88,7 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 
 func TestAcquireMissLoadsFromSSD(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
-	p := newPool(env, store, 4*rn101, LRU{})
+	p := newPool(env, store, m, 4*rn101, LRU{})
 	var switched bool
 	env.Go("x", func(proc *sim.Proc) {
 		switched = p.Acquire(proc, m.Expert(0))
@@ -112,7 +112,7 @@ func TestAcquireMissLoadsFromSSD(t *testing.T) {
 
 func TestAcquireEvictsWhenFull(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
-	p := newPool(env, store, 2*rn101, LRU{})
+	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
@@ -133,7 +133,7 @@ func TestAcquireEvictsWhenFull(t *testing.T) {
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
-	p := newPool(env, store, 2*rn101, LRU{})
+	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
@@ -158,7 +158,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestFIFOEvictsOldestLoad(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
-	p := newPool(env, store, 2*rn101, FIFO{})
+	p := newPool(env, store, m, 2*rn101, FIFO{})
 	p.Preload(m.Expert(0)) // loaded first
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
@@ -189,7 +189,7 @@ func TestDepAwareStage1EvictsOrphanedSubsequent(t *testing.T) {
 	cls3.UsageProb = 0.02
 	// Capacity chosen so that evicting the detector alone frees enough
 	// room for the incoming ResNet101 classifier.
-	p := newPool(env, store, 3*rn101+1024, DepAware{})
+	p := newPool(env, store, m, 3*rn101+1024, DepAware{})
 	p.Preload(cls2)
 	p.Preload(cls3)
 	p.Preload(det) // orphaned: cls0/cls1 not resident
@@ -216,7 +216,7 @@ func TestDepAwareDetectorWithResidentPreliminarySurvives(t *testing.T) {
 	cls0.UsageProb = 0.5
 	cls2 := m.Expert(2)
 	cls2.UsageProb = 0.01 // lowest usage -> stage-2 victim
-	p := newPool(env, store, cls0.WeightBytes()+cls2.WeightBytes()+det.WeightBytes()+rn101/2, DepAware{})
+	p := newPool(env, store, m, cls0.WeightBytes()+cls2.WeightBytes()+det.WeightBytes()+rn101/2, DepAware{})
 	p.Preload(cls0)
 	p.Preload(cls2)
 	p.Preload(det)
@@ -237,7 +237,7 @@ func TestDepAwareDetectorWithResidentPreliminarySurvives(t *testing.T) {
 
 func TestPinnedExpertsNeverEvicted(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
-	p := newPool(env, store, 2*rn101, LRU{})
+	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
@@ -256,8 +256,8 @@ func TestPinnedExpertsNeverEvicted(t *testing.T) {
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	env, store, _ := testWorld(t, 0, 2)
-	p := newPool(env, store, 2*rn101, LRU{})
+	env, store, m := testWorld(t, 0, 2)
+	p := newPool(env, store, m, 2*rn101, LRU{})
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for unpaired release")
@@ -268,7 +268,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
-	p := newPool(env, store, 4*rn101, LRU{})
+	p := newPool(env, store, m, 4*rn101, LRU{})
 	env.Go("x", func(proc *sim.Proc) {
 		p.Acquire(proc, m.Expert(0))
 		p.Release(0)
@@ -291,7 +291,7 @@ func TestStoreCacheHitIsFastAndExclusive(t *testing.T) {
 	if !store.Cached(e.ID) {
 		t.Fatal("demoted expert not cached")
 	}
-	p := newPool(env, store, 4*rn101, LRU{})
+	p := newPool(env, store, m, 4*rn101, LRU{})
 	env.Go("x", func(proc *sim.Proc) {
 		p.Acquire(proc, e)
 		p.Release(e.ID)
@@ -388,13 +388,21 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 		t.Run(pol.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			env, store, m := testWorld(t, 3*rn101, 8)
-			p := newPool(env, store, 3*rn101, pol)
+			holds := make([]int32, m.NumExperts())
+			p := New("gpu0", 3*rn101, store, memory.TierGPU, pol, env.Now, holds)
 			env.Go("driver", func(proc *sim.Proc) {
 				for i := 0; i < 200; i++ {
 					e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
 					p.Acquire(proc, e)
 					if p.FreeBytes() < 0 {
 						t.Error("negative free bytes")
+					}
+					// The residency count mirrors the entry map exactly.
+					for _, x := range m.Experts() {
+						if want := p.Resident(x.ID); (holds[x.ID] == 1) != want || holds[x.ID] > 1 {
+							t.Errorf("step %d: holds[%d] = %d, Resident = %v", i, x.ID, holds[x.ID], want)
+							return
+						}
 					}
 					proc.Sleep(time.Duration(rng.Intn(50)) * time.Millisecond)
 					p.Release(e.ID)

@@ -49,3 +49,27 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 		t.Fatalf("post-purge drain = %v", batch)
 	}
 }
+
+// TestPurgeKeepsCrashedBatchIntact pins the crash/restart race on group
+// recycling: an executor of the crashed epoch may still be mid-batch on
+// a group it drained completely (now the queue's retired group) when
+// the restarted executor drains fresh groups. Those drains must not
+// wipe the old batch's item array, or the crashed executor voids nil
+// requests.
+func TestPurgeKeepsCrashedBatchIntact(t *testing.T) {
+	env := sim.NewEnv()
+	q := testQueue(t, env, ModeGrouped)
+	q.Enqueue(expert(1), req(0, 1))
+	q.Enqueue(expert(1), req(1, 1))
+	old := q.TakeFromHead(4) // drains the whole group: it retires
+	q.Purge()                // the crash
+	// The restarted executor drains two fresh groups; without the fix
+	// the second drain wipes the crashed batch's group.
+	for i, e := range []coe.ExpertID{2, 3} {
+		q.Enqueue(expert(e), req(int64(10+i), e))
+		q.TakeFromHead(4)
+	}
+	if len(old) != 2 || old[0] == nil || old[1] == nil || old[0].ID != 0 || old[1].ID != 1 {
+		t.Fatalf("crashed batch was recycled under its executor: %v", old)
+	}
+}

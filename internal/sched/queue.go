@@ -348,10 +348,14 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 // floor rather than recycled: an executor may still hold the head
 // group's pointer and a batch slice aliasing its item array mid-
 // execution, so wiping them here would corrupt an in-flight batch (the
-// leak is bounded by the crash count, and crashes are rare). The free
-// list and the retired slot are untouched — their groups were wiped
-// under the normal one-drain-late protocol and stay safe to reuse.
+// leak is bounded by the crash count, and crashes are rare). The
+// retired group is forgotten the same way: its drainer may be mid-batch
+// in the crashed epoch and outlive the restart, so the restarted
+// executor's next drain must not wipe it from under that batch. The
+// free list is untouched — its groups were wiped under the normal
+// one-drain-late protocol and stay safe to reuse.
 func (q *Queue) Purge() []*coe.Request {
+	q.retired = nil
 	if len(q.groups) == 0 {
 		return nil
 	}
