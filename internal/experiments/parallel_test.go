@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -31,10 +34,39 @@ func maskWallClock(id, rendered string) string {
 	return regexp.MustCompile(` {2,}`).ReplaceAllString(masked, " ")
 }
 
+// update rewrites the golden corpus from the sequential renders:
+//
+//	go test ./internal/experiments -run TestParallelOutputByteIdentical -update
+var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.txt from the current renders")
+
+// checkGolden compares one masked render against its committed golden
+// file, or rewrites the file under -update.
+func checkGolden(t *testing.T, id, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", id+".txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update to create it)", id, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: output differs from %s\n--- got ---\n%s\n--- want ---\n%s", id, path, got, want)
+	}
+}
+
 // TestParallelOutputByteIdentical is the engine's core guarantee: every
 // registered experiment (paper artifacts, extensions, and the serve-*
 // family) renders byte-identically whether sweeps run on one worker or
-// fan out across eight.
+// fan out across eight, and the sequential render matches its committed
+// golden file byte for byte (fig19's wall-clock column masked).
 func TestParallelOutputByteIdentical(t *testing.T) {
 	seq := NewContext()
 	seq.SetParallel(1)
@@ -56,6 +88,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		if s != p {
 			t.Errorf("%s: parallel output differs from sequential\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s", e.ID, s, p)
 		}
+		checkGolden(t, e.ID, s)
 	}
 }
 
