@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench race chaos-determinism grayfail-determinism shard-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-shard perfbench-smoke cover
+.PHONY: all build test vet fmt-check detlint ci bench race chaos-determinism grayfail-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-kernel perfbench-smoke cover
 
 all: build
 
@@ -39,12 +39,13 @@ cover:
 	@$(GO) tool cover -func=cover.out | grep total:
 
 # race runs the whole test suite under the race detector: the parallel
-# run engine (internal/runner, the experiments fan-out) and the sharded
-# event kernel (sim.Sharded's persistent crew) must stay clean here. The
-# chaos, grayfail, and shard determinism checks ride along, with their
-# -race legs exercising the crash/redeliver, breaker/hedge, and
-# parallel-partition paths under the detector.
-race: chaos-determinism grayfail-determinism shard-determinism
+# run engine (internal/runner, the experiments fan-out) must stay clean
+# here, and the golden test (TestParallelOutputByteIdentical) renders
+# every experiment, serve-shard's interconnect path included, under the
+# detector and diffs it against testdata/golden. The chaos and grayfail
+# determinism checks ride along, with their -race legs exercising the
+# crash/redeliver and breaker/hedge paths.
+race: chaos-determinism grayfail-determinism
 	$(GO) test -race ./...
 
 # chaos-determinism pins the fault-injection guarantee: the serve-chaos
@@ -76,36 +77,6 @@ grayfail-determinism:
 	cmp "$$tmp/a" "$$tmp/b" || { echo "grayfail-determinism: two plain serve-grayfail runs differ"; exit 1; }; \
 	cmp "$$tmp/a" "$$tmp/c" || { echo "grayfail-determinism: serve-grayfail differs under -race"; exit 1; }; \
 	echo "grayfail-determinism: OK — serve-grayfail byte-identical across runs and under -race"
-
-# shard-determinism pins the parallel kernel's guarantee: experiment
-# output is byte-identical at every -shards setting. serve-shard (the
-# fleet over a non-zero interconnect — the config that engages the
-# sharded kernel and its pooled cross-partition messages) renders at
-# -shards 1, 2, 3, and GOMAXPROCS (-shards 0) plus once more under
-# -race; serve-fleet and serve-chaos render at -shards 1 and GOMAXPROCS
-# to pin that the flag leaves zero-latency configs untouched. All
-# outputs are diffed byte-for-byte against the sequential run. The odd
-# worker count (-shards 3) splits the 101 partitions unevenly, so the
-# crew's round barrier and the outbox merge see ragged rounds.
-shard-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 2 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard2" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 3 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard3" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shardN" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment -shards 0 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shardR" || exit 1; \
-	cmp "$$tmp/shard1" "$$tmp/shard2" || { echo "shard-determinism: serve-shard differs between -shards 1 and 2"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shard3" || { echo "shard-determinism: serve-shard differs between -shards 1 and 3"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shardN" || { echo "shard-determinism: serve-shard differs between -shards 1 and GOMAXPROCS"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shardR" || { echo "shard-determinism: serve-shard differs under -race"; exit 1; }; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-fleet | sed '/experiment(s) regenerated in/d' > "$$tmp/fleet1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-fleet | sed '/experiment(s) regenerated in/d' > "$$tmp/fleetN" || exit 1; \
-	cmp "$$tmp/fleet1" "$$tmp/fleetN" || { echo "shard-determinism: serve-fleet (zero-latency) differs across -shards"; exit 1; }; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/chaos1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/chaosN" || exit 1; \
-	cmp "$$tmp/chaos1" "$$tmp/chaosN" || { echo "shard-determinism: serve-chaos (zero-latency) differs across -shards"; exit 1; }; \
-	echo "shard-determinism: OK — serve-shard byte-identical at shards 1/2/3/GOMAXPROCS and under -race; zero-latency experiments untouched by -shards"
 
 # bench compiles and executes every benchmark exactly once (no test
 # functions), so the benchmark harness cannot rot, and pipes the output
@@ -145,15 +116,14 @@ bench-fleet:
 bench-chaos:
 	$(GO) test -bench BenchmarkChaosServe -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_chaos.json
 
-# bench-shard reproduces (and gates) the BENCH_kernel.json measurement:
-# the classic event loop, the single-node serve loop, the scheduler
-# inner loop, the cluster router's residency-first pick over a warm
-# 100-node fleet (BenchmarkAffinityPick), and the sharded kernel's
-# pooled-message hot path in isolation (BenchmarkShardedKernel). `make
-# bench` (and the CI bench job) already executes these once; this
-# target is the recorded baseline's regeneration recipe.
-bench-shard:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkAffinityPick|BenchmarkShardedKernel' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+# bench-kernel reproduces (and gates) the BENCH_kernel.json measurement:
+# the event loop, the single-node serve loop, the scheduler inner loop,
+# and the cluster router's residency-first pick over a warm 100-node
+# fleet (BenchmarkAffinityPick). `make bench` (and the CI bench job)
+# already executes these once; this target is the recorded baseline's
+# regeneration recipe.
+bench-kernel:
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkAffinityPick' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
 
 # perfbench-smoke runs the repository's benchmark (perfbench/, see
 # BENCHMARK.json) for one host second per workload with tracing off and

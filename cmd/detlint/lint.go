@@ -88,10 +88,8 @@ var randConstructors = map[string]bool{
 // kernelDir reports whether the file lives in a package that IS the
 // deterministic kernel (internal/sim) or runs entirely inside it
 // (internal/cluster). There, concurrency is not merely a hazard to an
-// output path — any goroutine or lock off the blessed shard-barrier
-// seam (the persistent runner.Crew inside sim.Sharded, whose round
-// barrier reimposes deterministic order) destroys the
-// byte-identical-at-any-worker-count contract directly.
+// output path — any goroutine or lock the kernel does not order itself
+// destroys the one-process-at-a-time event order directly.
 func kernelDir(path string) bool {
 	dir := filepath.ToSlash(filepath.Dir(path))
 	return strings.HasSuffix(dir, "internal/sim") || strings.HasSuffix(dir, "internal/cluster")
@@ -141,7 +139,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if kernel {
-				report(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster); parallelism must flow through the shard-barrier seam (sim.Sharded's persistent runner.Crew), where the round barrier re-imposes deterministic event order")
+				report(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster); processes start through sim.Env.Go, and parallelism belongs across independent simulations (internal/runner)")
 			}
 		case *ast.SelectorExpr:
 			if !kernel {
@@ -149,7 +147,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 			}
 			if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil {
 				if path := imports[id.Name]; path == "sync" || path == "sync/atomic" {
-					report(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster); synchronization belongs to the shard-barrier seam only — kernel state must be touched by exactly one partition per phase, never guarded by locks", id.Name, n.Sel.Name))
+					report(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster); the kernel runs one process at a time, so its state is never guarded by locks", id.Name, n.Sel.Name))
 				}
 			}
 		case *ast.CallExpr:

@@ -23,12 +23,12 @@
 //     annotated; anything new must either neutralize the order the
 //     same way or use a slice.
 //   - goroutine launches and sync/sync.atomic use inside the kernel
-//     packages (internal/sim, internal/cluster): the sharded kernel's
-//     byte-identical-at-any-worker-count contract requires every event
-//     to be ordered by the kernel itself — all parallelism flows
-//     through the shard-barrier seam (sim.Sharded's runner pool), and
-//     kernel state is owned by exactly one partition per phase, never
-//     guarded by locks. The seam's own launch points are annotated.
+//     packages (internal/sim, internal/cluster): every event must be
+//     ordered by the kernel itself, which runs exactly one process at
+//     a time on one virtual clock, so kernel state is never guarded by
+//     locks. Parallelism belongs outside the kernel, across whole
+//     independent simulations (internal/runner). The kernel's own
+//     process-launch point is annotated.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every

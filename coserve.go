@@ -343,11 +343,10 @@ type (
 	// (ClusterConfig.Hedge).
 	HedgeConfig = cluster.HedgeConfig
 	// Interconnect models per-hop front-end→node dispatch latency
-	// (ClusterConfig.Interconnect). Enabling it moves the cluster onto
-	// the sharded deterministic kernel: the front end and every node
-	// simulate in their own partitions, advanced in parallel under the
-	// model's conservative lookahead, with reports byte-identical at
-	// every ClusterConfig.Shards setting.
+	// (ClusterConfig.Interconnect). Enabling it turns every offer and
+	// completion ack into a timed event one hop away on the cluster's
+	// single simulation environment; the zero value keeps offers
+	// synchronous.
 	Interconnect = cluster.Interconnect
 	// NodeState is a node's lifecycle state (up, draining, down).
 	NodeState = core.NodeState

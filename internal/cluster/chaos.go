@@ -37,7 +37,7 @@ type chaosState struct {
 	pendingPeak int
 
 	// freeLease heads the lease free list: resolved leases recycle here
-	// (chain capacity retained) so the sharded hot path's per-request
+	// (chain capacity retained) so the interconnect hot path's per-request
 	// allocations stay at the request object and its chain, nothing
 	// else. Release is gated on aliasing: see resolveLease.
 	freeLease *lease
@@ -47,7 +47,7 @@ type chaosState struct {
 	// Exactly-once accounting: at every fault boundary,
 	// arrivals == completions + terminalRejected + len(ledger) + len(pending)
 	//           + offersInFlight.
-	// The last term exists only on the sharded kernel: a primary or
+	// The last term exists only with an interconnect: a primary or
 	// redelivery offer crossing the interconnect holds its request's
 	// accounting token until the fold lands it in one of the other
 	// buckets. hedgeOffers tracks in-flight hedge copies separately —
@@ -89,7 +89,7 @@ type chaosState struct {
 }
 
 // orphanKey names the orphaned copies of one request on one node: the
-// losers of hedge races and, on the sharded kernel, hedge copies
+// losers of hedge races and, over an interconnect, hedge copies
 // admitted after their lease resolved or was voided. One request can
 // leave orphans on several nodes (and more than one on a node) when it
 // is hedged again after a crash or a redelivery, so they are counted
@@ -137,7 +137,7 @@ type lease struct {
 	// Hedging state: the node holding the speculative second copy (-1
 	// while unhedged), the pending deadline timer, and how many times
 	// the deadline has re-armed after failed hedge attempts.
-	// hedgeInFlight marks a hedge offer on the wire (sharded kernel
+	// hedgeInFlight marks a hedge offer on the wire (interconnect
 	// only) so the deadline cannot launch a second copy meanwhile.
 	hedgeNode     int
 	hedgeInFlight bool
@@ -300,7 +300,7 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 		for _, id := range cs.byNode[ev.Node] {
 			if k := (orphanKey{id, ev.Node}); cs.orphans[k] > 0 {
 				// This node holds orphaned copies — losers of hedge races,
-				// or (sharded kernel only) hedges admitted after their
+				// or (interconnect only) hedges admitted after their
 				// lease resolved or was voided into a redelivery. They die
 				// here (the node's own drop accounting records them) and
 				// are no longer expected to surface as waste.
@@ -430,7 +430,7 @@ func jitterSeed(ev sim.FaultEvent) int64 {
 // count as a rejection).
 func (c *Cluster) redeliverOne(p *sim.Proc, l *lease) bool {
 	now := p.Now()
-	if c.kernel != nil {
+	if c.latency != nil {
 		return c.shardRedeliver(now, l)
 	}
 	cs := c.chaos

@@ -100,19 +100,11 @@ type Config struct {
 	Hedge HedgeConfig
 
 	// Interconnect models the dispatch latency between the front end
-	// and its nodes. Enabling it moves the cluster onto the sharded
-	// event kernel — every node in its own partition, offers and acks
-	// as timed cross-partition events — whose output is byte-identical
-	// at every Shards setting. The zero value disables the model and
-	// keeps the single shared environment, byte-identical to the
-	// latency-free cluster.
+	// and its nodes. Enabling it turns every offer and completion ack
+	// into a timed event one hop away on the shared environment. The
+	// zero value disables the model — offers stay synchronous,
+	// byte-identical to the latency-free cluster.
 	Interconnect Interconnect
-	// Shards bounds how many node partitions simulate concurrently
-	// when the Interconnect is enabled: 0 defaults to GOMAXPROCS, 1
-	// runs the partitioned kernel sequentially (same output, no
-	// parallelism). Ignored without an Interconnect — with zero modeled
-	// latency there is no lookahead to parallelize under.
-	Shards int
 }
 
 // Uniform returns n copies of the node configuration — the homogeneous
@@ -162,16 +154,11 @@ type Cluster struct {
 	nodes     []*Node
 	recorder  *metrics.Recorder
 
-	// kernel is the sharded event kernel when Config.Interconnect is
-	// enabled (env then aliases its coordinator partition); nil keeps
-	// the classic single shared environment. latency caches each
-	// node's one-way hop cost.
-	kernel  *sim.Sharded
+	// latency caches each node's one-way hop cost when
+	// Config.Interconnect is enabled; nil keeps offers synchronous.
+	// msgFree heads the free list of pooled hop messages.
 	latency []time.Duration
-	// msgFree holds per-partition free lists of pooled cross-partition
-	// messages (index 0 the coordinator, 1+i node i) — unsynchronized,
-	// each touched only by its partition's executing context.
-	msgFree []*shardMsg
+	msgFree *shardMsg
 
 	runs    int
 	serving bool
@@ -236,19 +223,12 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if err := cfg.Interconnect.validate(len(cfg.Nodes)); err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
-	}
+	c.env = sim.NewEnv()
 	if cfg.Interconnect.Enabled() {
-		c.kernel = sim.NewSharded(1+len(cfg.Nodes), cfg.Shards, cfg.Interconnect.Lookahead(len(cfg.Nodes)))
-		c.env = c.kernel.Part(0)
-		c.msgFree = make([]*shardMsg, 1+len(cfg.Nodes))
 		c.latency = make([]time.Duration, len(cfg.Nodes))
 		for i := range c.latency {
 			c.latency[i] = cfg.Interconnect.NodeLatency(i)
 		}
-	} else {
-		c.env = sim.NewEnv()
 	}
 	if c.router == nil {
 		c.router = LeastLoaded{}
@@ -297,16 +277,14 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 			nc.Preload = plan[i]
 		}
 		nc.Percentiles = cfg.Percentiles
-		env := c.env
-		if c.kernel != nil {
-			// Each node simulates in its own partition, and request
-			// objects stay coordinator-owned: the node hands them back
-			// through the delegate's completion and drop folds instead of
-			// recycling into the shared arena from a worker partition.
-			env = c.kernel.Part(1 + i)
+		if c.latency != nil {
+			// Request objects stay front-end owned: the accept fold reads
+			// the request one hop after admission, so the node hands it
+			// back through the delegate's completion and drop folds
+			// instead of recycling it.
 			nc.ExternalRecycle = true
 		}
-		sys, err := core.NewSystemInEnv(nc, m, env)
+		sys, err := core.NewSystemInEnv(nc, m, c.env)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
 		}
@@ -328,11 +306,11 @@ type nodeDelegate struct {
 	idx int
 }
 
-// RequestDone implements core.StreamDelegate. On the sharded kernel it
-// runs inside the node's partition, so the completion travels to the
-// coordinator as a fold event instead of a direct call.
+// RequestDone implements core.StreamDelegate. With the interconnect
+// enabled the completion travels to the front end as a fold one hop
+// later instead of a direct call.
 func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
-	if d.c.kernel != nil {
+	if d.c.latency != nil {
 		d.c.foldCompletion(d.idx, p.Now(), r)
 		return
 	}
@@ -340,34 +318,14 @@ func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
 }
 
 // RequestDropped implements core.DropDelegate: under ExternalRecycle —
-// set exactly when the kernel is sharded — a crash-voided request
-// folds back to the coordinator for recycling.
+// set exactly when the interconnect is enabled — a crash-voided
+// request folds back to the front end for recycling.
 func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
 	d.c.postRecycle(d.idx, now, r)
 }
 
 // Nodes exposes the fleet (read-only use).
 func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// Sharded reports whether the cluster runs on the sharded event
-// kernel, and under how many workers. (0, false) means the classic
-// single shared environment.
-func (c *Cluster) Sharded() (workers int, ok bool) {
-	if c.kernel == nil {
-		return 0, false
-	}
-	return c.kernel.Workers(), true
-}
-
-// runKernel drives the stream to completion on whichever kernel the
-// cluster was built over.
-func (c *Cluster) runKernel() {
-	if c.kernel != nil {
-		c.kernel.Run()
-		return
-	}
-	c.env.Run()
-}
 
 // Runs reports how many streams the cluster has served.
 func (c *Cluster) Runs() int { return c.runs }
@@ -397,11 +355,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	defer func() { c.serving = false }()
 
 	if c.runs > 0 {
-		if c.kernel != nil {
-			c.kernel.Reopen()
-		} else {
-			c.env.Reopen()
-		}
+		c.env.Reopen()
 		c.recorder.Reset()
 		clear(c.routed)
 	}
@@ -418,7 +372,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 				for _, m := range c.nodes[:i] {
 					m.sys.CloseStream()
 				}
-				c.runKernel()
+				c.env.Run()
 				for _, m := range c.nodes[:i] {
 					m.sys.StreamReport()
 				}
@@ -443,7 +397,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 		c.env.Go("cluster/health", c.healthLoop)
 	}
 	c.env.Go("cluster/arrivals", func(p *sim.Proc) { c.admit(p, src) })
-	c.runKernel()
+	c.env.Run()
 
 	if cs := c.chaos; cs != nil {
 		cs.verify(c.env.Now(), "stream end")
@@ -483,11 +437,11 @@ func (c *Cluster) beginLifecycle() {
 	c.drainRecords = nil
 	c.chaos = nil
 	c.health = nil
-	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.kernel != nil {
+	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.latency != nil {
 		// Hedging rides on the lease ledger even on a fault-free stream:
-		// a deadline can only re-lease what a lease tracks. The sharded
-		// kernel always runs over the ledger too — an offer on the wire
-		// needs a lease to land in, and close must wait for it.
+		// a deadline can only re-lease what a lease tracks. The
+		// interconnect always runs over the ledger too — an offer on the
+		// wire needs a lease to land in, and close must wait for it.
 		c.chaos = newChaosState(len(c.nodes), c.cfg.Arena)
 	}
 	if c.cfg.Health.Enabled() {
@@ -564,10 +518,9 @@ func (c *Cluster) deliver(p *sim.Proc, tr workload.TimedRequest) {
 		coe.Recycle(tr.Req)
 		return
 	}
-	if c.kernel != nil {
-		// Sharded kernel: the offer crosses the interconnect as a timed
-		// event; admission outcome, lease, and recorder updates land on
-		// the folds.
+	if c.latency != nil {
+		// The offer crosses the interconnect as a timed event; admission
+		// outcome, lease, and recorder updates land on the folds.
 		c.postOffer(now, idx, offerPrimary, tr.Req, tr.Tenant, nil)
 		return
 	}

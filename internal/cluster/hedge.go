@@ -111,11 +111,11 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 		return
 	}
 	r := cs.leaseRequest(l)
-	if c.kernel != nil {
-		// Sharded kernel: the hedge copy crosses the interconnect like
-		// any offer. hedgesFired, the byNode entry, and the race state
-		// attach when the accept fold lands; a refusal or bounce re-arms
-		// the deadline from its fold.
+	if c.latency != nil {
+		// The hedge copy crosses the interconnect like any offer.
+		// hedgesFired, the byNode entry, and the race state attach when
+		// the accept fold lands; a refusal or bounce re-arms the deadline
+		// from its fold.
 		l.hedgeInFlight = true
 		c.postOffer(now, idx, offerHedge, r, l.tenant, l)
 		cs.verify(now, fmt.Sprintf("hedge %d", id))

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// testInterconnect is the hop model the sharded tests run under: a
+// testInterconnect is the hop model the interconnect tests run under: a
 // split fleet with the first two nodes on the front end's board and a
 // slower class beyond it, so per-node latencies genuinely differ.
 var testInterconnect = Interconnect{
@@ -21,9 +20,9 @@ var testInterconnect = Interconnect{
 	BoardSize:  2,
 }
 
-// shardConfig builds a 4-node sharded fleet over the hop model with
-// the given lifecycle knobs.
-func shardConfig(t testing.TB, shards int, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
+// icConfig builds a 4-node fleet over the hop model with the given
+// lifecycle knobs.
+func icConfig(t testing.TB, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
 	t.Helper()
 	return Config{
 		Nodes:        Uniform(4, nodeConfig(t, hw.NUMADevice())),
@@ -34,13 +33,12 @@ func shardConfig(t testing.TB, shards int, plan *sim.FaultPlan, health HealthCon
 		Health:       health,
 		Hedge:        hedge,
 		Interconnect: testInterconnect,
-		Shards:       shards,
 	}
 }
 
-// serveSharded runs one stream over a sharded fleet and returns the
+// serveOverInterconnect runs one stream over the fleet and returns the
 // normalized report.
-func serveSharded(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
+func serveOverInterconnect(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
 	t.Helper()
 	board := boardFor(t, workload.BoardA())
 	cl := buildCluster(t, cfg, board.Model)
@@ -51,74 +49,8 @@ func serveSharded(t *testing.T, cfg Config, rate float64, n int, seed int64) *Re
 	return normalize(rep)
 }
 
-// shardCounts are the worker counts every determinism test sweeps:
-// sequential, two, three, and whatever the host offers.
-func shardCounts() []int {
-	return []int{1, 2, 3, runtime.GOMAXPROCS(0)}
-}
-
-// TestShardedFleetDeterministicAcrossShardCounts pins the kernel's
-// core guarantee on a fault-free fleet: the full report — fleet
-// percentiles, per-node reports, imbalance — is identical at every
-// shard count, sequential included.
-func TestShardedFleetDeterministicAcrossShardCounts(t *testing.T) {
-	want := serveSharded(t, shardConfig(t, 1, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-	if want.Completions == 0 || want.N == 0 {
-		t.Fatalf("reference run served nothing: %d arrivals, %d completions", want.N, want.Completions)
-	}
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
-	}
-}
-
-// TestShardedChaosDeterministicAcrossShardCounts sweeps the crash/
-// drain/recover machinery — lease voiding, redelivery racing
-// completion folds on the wire, pending-queue flushes — across shard
-// counts.
-func TestShardedChaosDeterministicAcrossShardCounts(t *testing.T) {
-	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
-		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
-		{At: 2500 * time.Millisecond, Node: 1, Kind: sim.FaultRecover},
-		{At: 3 * time.Second, Node: 2, Kind: sim.FaultDrain},
-		{At: 4500 * time.Millisecond, Node: 2, Kind: sim.FaultRecover},
-	}}
-	want := serveSharded(t, shardConfig(t, 1, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
-	if want.LostLeases == 0 {
-		t.Fatal("crash voided no leases; the test exercises nothing")
-	}
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
-	}
-}
-
-// TestShardedGrayfailDeterministicAcrossShardCounts sweeps the full
-// gray stack — slow/jitter/stall injection, breaker, hedged offers in
-// flight — across shard counts.
-func TestShardedGrayfailDeterministicAcrossShardCounts(t *testing.T) {
-	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
-		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
-		{At: 1500 * time.Millisecond, Node: 2, Kind: sim.FaultJitter, Factor: 400},
-		{At: 2 * time.Second, Node: 3, Kind: sim.FaultStall, For: 4 * time.Second},
-		{At: 9 * time.Second, Node: 1, Kind: sim.FaultRecover},
-		{At: 9 * time.Second, Node: 2, Kind: sim.FaultRecover},
-	}}
-	want := serveSharded(t, shardConfig(t, 1, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
-	}
-}
-
-// TestShardedExactlyOnceUnderChaos asserts the accounting contract on
-// the sharded kernel directly: every arrival resolves exactly once
+// TestShardedExactlyOnceUnderChaos asserts the accounting contract
+// over the interconnect: every arrival resolves exactly once
 // even with crashes racing completion acks across the interconnect,
 // and redelivery covers every voided lease.
 func TestShardedExactlyOnceUnderChaos(t *testing.T) {
@@ -128,7 +60,7 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 		{At: 3 * time.Second, Node: 0, Kind: sim.FaultCrash},
 		{At: 4 * time.Second, Node: 0, Kind: sim.FaultRecover},
 	}}
-	rep := serveSharded(t, shardConfig(t, runtime.GOMAXPROCS(0), plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
+	rep := serveOverInterconnect(t, icConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
 	if rep.N != 150 {
 		t.Fatalf("admitted %d of 150", rep.N)
 	}
@@ -165,14 +97,14 @@ var twoCrashes = []sim.FaultEvent{
 
 // TestShardedCrashVoidsAdmissionOnTheWire pins the crash/admission
 // race: a node admits a request, crashes before the accept fold
-// reaches the coordinator, and purges it. The fold's receipt carries
-// the node's crash epoch, so the coordinator sees the admission was
+// reaches the front end, and purges it. The fold's receipt carries
+// the node's crash epoch, so the front end sees the admission was
 // voided and redelivers the request instead of opening a lease on a
 // copy that no longer exists (which left the stream unable to close).
 func TestShardedCrashVoidsAdmissionOnTheWire(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	for seed := int64(1); seed <= 8; seed++ {
-		cfg := shardConfig(t, 2, &sim.FaultPlan{Events: twoCrashes}, HealthConfig{}, HedgeConfig{})
+		cfg := icConfig(t, &sim.FaultPlan{Events: twoCrashes}, HealthConfig{}, HedgeConfig{})
 		cfg.Interconnect = slowInterconnect
 		rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 30, 300, seed))
 		if err != nil {
@@ -190,12 +122,12 @@ func TestShardedCrashVoidsAdmissionOnTheWire(t *testing.T) {
 
 // TestHedgeAccountingUnderCrashes pins the hedge identity — every
 // fired hedge ends exactly once as wasted or voided — when crashes
-// race hedged leases, on both kernels: a crash of the primary's node
-// promotes the hedge copy (the race's losing copy died with the
-// node), a crash can void orphaned copies, and a lease hedged again
-// after a crash or redelivery can leave orphans on several nodes. The
-// straggler plan also crashes the straggler mid-batch and restarts it
-// while its old batch is still executing.
+// race hedged leases, with and without an interconnect: a crash of the
+// primary's node promotes the hedge copy (the race's losing copy died
+// with the node), a crash can void orphaned copies, and a lease hedged
+// again after a crash or redelivery can leave orphans on several
+// nodes. The straggler plan also crashes the straggler mid-batch and
+// restarts it while its old batch is still executing.
 func TestHedgeAccountingUnderCrashes(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	stragglerCrash := []sim.FaultEvent{
@@ -211,7 +143,7 @@ func TestHedgeAccountingUnderCrashes(t *testing.T) {
 			health HealthConfig
 		}{{twoCrashes, HealthConfig{}}, {stragglerCrash, grayHealth}} {
 			for seed := int64(1); seed <= 3; seed++ {
-				cfg := shardConfig(t, 2, &sim.FaultPlan{Events: tc.plan}, tc.health, HedgeConfig{After: time.Second})
+				cfg := icConfig(t, &sim.FaultPlan{Events: tc.plan}, tc.health, HedgeConfig{After: time.Second})
 				cfg.Interconnect = ic
 				rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 30, 300, seed))
 				if err != nil {
@@ -234,8 +166,8 @@ func TestHedgeAccountingUnderCrashes(t *testing.T) {
 	}
 }
 
-// TestShardedLateHedgeCountsAsFired pins the hedge identity on the
-// sharded kernel: every fired hedge ends exactly once as wasted or
+// TestShardedLateHedgeCountsAsFired pins the hedge identity over the
+// interconnect: every fired hedge ends exactly once as wasted or
 // voided. Under a slow interconnect a hedge offer flies for tens of
 // milliseconds, long enough for its lease to resolve before the copy
 // is admitted; that late copy is still a fired hedge and its
@@ -248,7 +180,7 @@ func TestShardedLateHedgeCountsAsFired(t *testing.T) {
 		{At: 20 * time.Second, Node: 1, Kind: sim.FaultRecover},
 	}}
 	for _, seed := range []int64{4, 6, 7, 8} {
-		cfg := shardConfig(t, 2, plan, grayHealth, HedgeConfig{After: time.Second})
+		cfg := icConfig(t, plan, grayHealth, HedgeConfig{After: time.Second})
 		cfg.Interconnect = slowInterconnect
 		rep, err := buildCluster(t, cfg, board.Model).Serve(poissonFor(t, board, 8, 120, seed))
 		if err != nil {
@@ -267,76 +199,38 @@ func TestShardedLateHedgeCountsAsFired(t *testing.T) {
 	}
 }
 
-// TestShardedReopenDeterministic pins warm restarts on the sharded
-// kernel: consecutive Serve calls reopen every partition (worker
-// clocks lag the coordinator between streams), hedge timers and leases
-// from the first stream never leak into the second, and both streams
-// stay shard-count-invariant.
+// TestShardedReopenDeterministic pins warm restarts over the
+// interconnect: consecutive Serve calls reopen the environment, hedge
+// timers, leases, and pooled messages from the first stream never leak
+// into the second, and a second cluster replaying the same rounds
+// reports identically.
 func TestShardedReopenDeterministic(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
 		{At: 2 * time.Second, Node: 1, Kind: sim.FaultRecover},
 	}}
 	board := boardFor(t, workload.BoardA())
-	run := func(shards int) []*Report {
-		cl := buildCluster(t, shardConfig(t, shards, plan, grayHealth, HedgeConfig{After: time.Second}), board.Model)
+	run := func() []*Report {
+		cl := buildCluster(t, icConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), board.Model)
 		var reps []*Report
 		for round := 0; round < 2; round++ {
 			rep, err := cl.Serve(poissonFor(t, board, 25, 100, int64(17+round)))
 			if err != nil {
-				t.Fatalf("shards=%d round %d: %v", shards, round, err)
+				t.Fatalf("round %d: %v", round, err)
 			}
 			if rep.Completions+rep.RedeliveredRejected != rep.N {
-				t.Fatalf("shards=%d round %d: %d completions + %d rejected != %d admitted",
-					shards, round, rep.Completions, rep.RedeliveredRejected, rep.N)
+				t.Fatalf("round %d: %d completions + %d rejected != %d admitted",
+					round, rep.Completions, rep.RedeliveredRejected, rep.N)
 			}
 			reps = append(reps, normalize(rep))
 		}
 		return reps
 	}
-	want := run(1)
-	for _, shards := range []int{3, runtime.GOMAXPROCS(0)} {
-		got := run(shards)
-		for round := range want {
-			if !reflect.DeepEqual(want[round], got[round]) {
-				t.Errorf("shards=%d round %d diverged:\n%+v\nvs\n%+v", shards, round, want[round], got[round])
-			}
+	want, got := run(), run()
+	for round := range want {
+		if !reflect.DeepEqual(want[round], got[round]) {
+			t.Errorf("round %d diverged:\n%+v\nvs\n%+v", round, want[round], got[round])
 		}
-	}
-}
-
-// TestShardedZeroInterconnectUnsharded pins the engagement seam: a
-// zero-valued Interconnect keeps the classic single-environment
-// cluster regardless of Shards, byte-identical to a config that never
-// mentions either knob.
-func TestShardedZeroInterconnectUnsharded(t *testing.T) {
-	board := boardFor(t, workload.BoardA())
-	base := Config{
-		Nodes:     Uniform(3, nodeConfig(t, hw.NUMADevice())),
-		Router:    Affinity{},
-		Placement: UsageProportional{},
-		SLO:       time.Second,
-	}
-	plain := buildCluster(t, base, board.Model)
-	if _, ok := plain.Sharded(); ok {
-		t.Fatal("latency-free cluster reports a sharded kernel")
-	}
-	shardy := base
-	shardy.Shards = 4
-	cl := buildCluster(t, shardy, board.Model)
-	if _, ok := cl.Sharded(); ok {
-		t.Fatal("Shards without an Interconnect must not engage the sharded kernel")
-	}
-	a, err := plain.Serve(poissonFor(t, board, 40, 200, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cl.Serve(poissonFor(t, board, 40, 200, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalize(a), normalize(b)) {
-		t.Error("Shards knob changed a latency-free serve")
 	}
 }
 
@@ -347,23 +241,18 @@ func TestShardedConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"negative latency", func(c *Config) { c.Interconnect = Interconnect{Dispatch: -time.Millisecond} }},
-		{"zero lookahead", func(c *Config) {
+		{"free hop to a node", func(c *Config) {
 			// Enabled, but the front end's board reaches its nodes for free.
 			c.Interconnect = Interconnect{InterNode: time.Millisecond, BoardSize: 2}
 		}},
 	}
 	for _, tc := range bad {
-		cfg := shardConfig(t, 1, nil, HealthConfig{}, HedgeConfig{})
+		cfg := icConfig(t, nil, HealthConfig{}, HedgeConfig{})
 		tc.mut(&cfg)
 		if _, err := New(cfg, board.Model); err == nil {
 			t.Errorf("%s: New accepted the config", tc.name)
 		}
-	}
-	cl := buildCluster(t, shardConfig(t, 0, nil, HealthConfig{}, HedgeConfig{}), board.Model)
-	if w, ok := cl.Sharded(); !ok || w != runtime.GOMAXPROCS(0) {
-		t.Errorf("Shards=0 => workers %d, sharded %v; want GOMAXPROCS(%d), true", w, ok, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -371,15 +260,15 @@ func TestShardedConfigValidation(t *testing.T) {
 // costs something: the same stream served with a 10x slower
 // interconnect completes with a strictly higher mean latency.
 func TestShardedLatencyShowsUp(t *testing.T) {
-	fast := serveSharded(t, shardConfig(t, 2, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-	slowIC := shardConfig(t, 2, nil, HealthConfig{}, HedgeConfig{})
+	fast := serveOverInterconnect(t, icConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
+	slowIC := icConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	slowIC.Interconnect = Interconnect{
 		Dispatch:   2 * time.Millisecond,
 		IntraBoard: time.Millisecond,
 		InterNode:  6 * time.Millisecond,
 		BoardSize:  2,
 	}
-	slow := serveSharded(t, slowIC, 40, 200, 13)
+	slow := serveOverInterconnect(t, slowIC, 40, 200, 13)
 	if slow.Latency.Mean <= fast.Latency.Mean {
 		t.Errorf("10x interconnect did not raise mean latency: fast %v, slow %v",
 			time.Duration(fast.Latency.Mean*float64(time.Second)),

@@ -102,7 +102,7 @@ type Report struct {
 	Bounced int64
 	// DupAcks counts completion acknowledgments that arrived after
 	// their lease had been voided and redelivered — work finished on a
-	// node the ledger no longer tracked. Only the sharded kernel can
+	// node the ledger no longer tracked. Only the interconnect can
 	// produce them (an ack and a crash can cross on the wire); they
 	// never count as completions.
 	DupAcks int64

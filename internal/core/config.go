@@ -213,9 +213,10 @@ type Config struct {
 	// delegate: the controller stops recycling requests on rejection,
 	// completion, and crash-void (drops route through the delegate's
 	// DropDelegate hook instead), and the env owner recycles each
-	// request after its own accounting. The sharded cluster kernel sets
-	// this on every node so arena recycling stays on the single
-	// coordinator partition; meaningless without a StreamDelegate.
+	// request after its own accounting. The cluster sets this on every
+	// node when its interconnect is enabled, because the accept fold
+	// reads the request one hop after admission; meaningless without a
+	// StreamDelegate.
 	ExternalRecycle bool
 }
 

@@ -691,8 +691,8 @@ func (s *System) Offer(p *sim.Proc, tr workload.TimedRequest) (Lease, bool) {
 
 // OfferAt is Offer from event-callback context: the caller names the
 // current virtual time explicitly instead of passing a process. The
-// sharded cluster kernel delivers offers into a node's partition as
-// timed events, which run on the kernel rather than in a process.
+// cluster interconnect delivers offers to a node as timed events, which
+// run on the kernel rather than in a process.
 func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	if s.state != NodeUp {
 		return Lease{}, false

@@ -115,9 +115,7 @@ func (s *System) Crash(p *sim.Proc) int {
 }
 
 // CrashAt is Crash from event-callback context, naming the current
-// virtual time explicitly — the entry point for crash verbs delivered
-// into a node's partition as timed events by the sharded cluster
-// kernel.
+// virtual time explicitly instead of passing a process.
 func (s *System) CrashAt(now sim.Time) int {
 	if s.state == NodeDown {
 		return 0

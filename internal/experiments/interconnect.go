@@ -12,16 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// shardSLO is the per-request objective the sharded-kernel experiment
+// shardSLO is the per-request objective the interconnect experiment
 // scores against — the grayfail objective, since the hardest scenario
 // reuses that fault class.
 const shardSLO = 3 * time.Second
 
 // shardInterconnect is the hop model the experiment serves over: the
 // front end shares a board with the first two nodes and reaches the
-// rest over a slower link. Enabling it is what moves the fleet onto
-// the sharded kernel — every offer and completion becomes a timed
-// event crossing a partition boundary.
+// rest over a slower link. Enabling it turns every offer and
+// completion into a timed event one hop away.
 var shardInterconnect = cluster.Interconnect{
 	Dispatch:   200 * time.Microsecond,
 	IntraBoard: 100 * time.Microsecond,
@@ -62,29 +61,22 @@ func shardScenarios() []shardScenario {
 	}
 }
 
-// ServeShard serves a 4-node fleet over a non-zero interconnect — the
-// configuration that engages the sharded deterministic kernel: the
-// front end and every node simulate in their own partitions, advanced
-// in parallel under the interconnect's conservative lookahead. Three
-// scenarios run: a steady stream, a crash/drain/recover script, and a
-// fail-slow script under breaker + hedge. Every row hard-fails unless
-// completion accounting is exactly-once, and the rendered table is
-// byte-identical at every Context.SetShards setting — `make
-// shard-determinism` diffs it at shards 1, 2, and GOMAXPROCS.
+// ServeShard serves a 4-node fleet over a non-zero interconnect, so
+// every request crosses the timed offer/fold protocol: offers out to a
+// node and admission, completion, and drop folds back, one modeled hop
+// each way. Three scenarios run: a steady stream, a crash/drain/recover
+// script, and a fail-slow script under breaker + hedge. Every row
+// hard-fails unless completion accounting is exactly-once.
 func ServeShard(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "serve-shard",
-		// The title deliberately omits the shard setting: `make
-		// shard-determinism` byte-diffs this table across worker counts,
-		// so nothing host- or setting-dependent may reach the rendered
-		// bytes.
-		Title: fmt.Sprintf("Sharded kernel: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
+		Title: fmt.Sprintf("Interconnect: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
 			shardInterconnect.IntraBoard, shardInterconnect.InterNode, shardSLO),
 		Columns: []string{"scenario", "completions", "slo attainment", "p95",
 			"bounced", "dup acks", "redelivered", "hedges"},
 		Notes: []string{
-			"interconnect: dispatch 200µs + 100µs intra-board (nodes 0-1) or 600µs inter-board (nodes 2-3), each way; offers and completion acks are timed events between the front end's partition and the nodes'",
-			"the kernel advances partitions in parallel under conservative lookahead (the cheapest hop); the report is byte-identical at every shard count — the table carries no worker-count artifacts",
+			"interconnect: dispatch 200µs + 100µs intra-board (nodes 0-1) or 600µs inter-board (nodes 2-3), each way; offers and completion acks are timed events between the front end and the nodes",
+			"each hop is a pooled timed event on the fleet's one simulation environment; admission, lease, and hedge bookkeeping land on the front end when the fold arrives",
 			"bounced: offers that crossed the wire into a node no longer Up and were re-routed; dup acks: completions that crossed a crash on the wire after redelivery — counted, never double-completed",
 			"every row asserts exactly-once completion accounting and leak-free hedge accounting",
 		},
@@ -116,7 +108,6 @@ func ServeShard(ctx *Context) (*Table, error) {
 			Health:       sc.health,
 			Hedge:        sc.hedge,
 			Interconnect: shardInterconnect,
-			Shards:       ctx.Shards(),
 		}, board.Model)
 		if err != nil {
 			return nil, err

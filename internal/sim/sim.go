@@ -18,7 +18,8 @@
 // — carry the *Proc to resume directly on the event instead of allocating
 // a capturing closure. Pure-callback events (After, AfterFunc) take the
 // other dispatch path and run inline on the kernel goroutine with no
-// process handoff at all.
+// process handoff at all, and typed Messages (PostMsg) run inline too
+// without even a closure, so a protocol can pool its payloads.
 package sim
 
 import (
@@ -45,19 +46,29 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
+// Message is a typed event payload: Deliver runs inline on the kernel
+// goroutine at the scheduled instant, exactly like an After callback,
+// with at the event's timestamp (== Now). The indirection exists for
+// pooling — a protocol can recycle its message structs on its own free
+// list, making steady-state traffic allocation-free where closures
+// cannot be.
+type Message interface {
+	Deliver(at Time)
+}
+
 // event is a scheduled kernel action. Exactly one of fn, proc, and msg
 // is set: fn is the callback fast path, run inline on the kernel
 // goroutine; proc is the wake path, resuming a parked process; msg is
-// the typed-message path for cross-partition traffic in a Sharded
-// kernel — like proc it allocates no closure, and the payload itself is
-// poolable by the sender. Events are pooled on the environment's free
-// list, so no field may be read after release.
+// the typed-message path (PostMsg) — like proc it allocates no closure,
+// and the payload itself is poolable by the sender. Events are pooled
+// on the environment's free list, so no field may be read after
+// release.
 type event struct {
 	at    Time
 	seq   int64
 	fn    func()  // callback path (After, AfterFunc, process start)
 	proc  *Proc   // wake path (Sleep, Unpark) — no closure allocated
-	msg   Message // typed cross-partition payload — no closure allocated
+	msg   Message // typed payload (PostMsg) — no closure allocated
 	index int     // heap index; -1 once removed from the heap
 	next  *event  // free-list link
 }
@@ -117,12 +128,6 @@ type Env struct {
 	// free is the event free list; fired and cancelled events are
 	// recycled here so steady-state scheduling allocates nothing.
 	free *event
-
-	// shard/shardIdx bind the environment to a Sharded kernel partition;
-	// outbox buffers its cross-partition posts during a partition round.
-	shard    *Sharded
-	shardIdx int
-	outbox   []outPost
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -149,12 +154,6 @@ func (e *Env) newEvent(at Time) *event {
 	}
 	ev.at, ev.seq = at, e.seq
 	heap.Push(&e.events, ev)
-	if ev.index == 0 && e.shard != nil {
-		// The partition's frontier moved earlier: keep the Sharded
-		// kernel's frontier index in sync (a no-op outside its Run loop's
-		// coordinator phases — worker rounds refresh at the barrier).
-		e.shard.frontierChanged(e)
-	}
 	return ev
 }
 
@@ -175,12 +174,12 @@ func (e *Env) schedule(at Time, fn func()) *event {
 	return ev
 }
 
-// scheduleMsg enqueues a typed message for delivery at time at — the
-// closure-free path cross-partition protocols ride on.
-func (e *Env) scheduleMsg(at Time, m Message) *event {
-	ev := e.newEvent(at)
-	ev.msg = m
-	return ev
+// PostMsg schedules m.Deliver(at) at time at (>= Now): the
+// closure-free path timed protocols ride on. The event itself is
+// pooled, and the sender may pool m — PostMsg allocates nothing in
+// steady state.
+func (e *Env) PostMsg(at Time, m Message) {
+	e.newEvent(at).msg = m
 }
 
 // scheduleWake enqueues a closure-free wake-up of p at time at — the
@@ -236,14 +235,8 @@ func (e *Env) Cancel(t Timer) bool {
 	if ev.seq != t.seq || ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
 		return false
 	}
-	wasHead := ev.index == 0
 	heap.Remove(&e.events, ev.index)
 	e.releaseEvent(ev)
-	if wasHead && e.shard != nil {
-		// Cancelling the head raises the partition's frontier — e.g. a
-		// crash purge revoking a node-internal timer from the coordinator.
-		e.shard.frontierChanged(e)
-	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -606,4 +607,61 @@ func TestCancelAcrossEnvironmentsPanics(t *testing.T) {
 		}
 	}()
 	b.Cancel(tm)
+}
+
+// pingMsg is a pooled Message for the PostMsg tests: each delivery logs
+// itself and, while hops remain, re-posts the same carrier one hop on.
+type pingMsg struct {
+	env  *Env
+	id   int
+	hops int
+	log  *[]string
+}
+
+func (m *pingMsg) Deliver(at Time) {
+	if at != m.env.Now() {
+		panic("PostMsg delivered off its timestamp")
+	}
+	if m.log != nil {
+		*m.log = append(*m.log, fmt.Sprintf("m%d@%v", m.id, at))
+	}
+	if m.hops > 0 {
+		m.hops--
+		m.env.PostMsg(at.Add(time.Millisecond), m)
+	}
+}
+
+// TestPostMsgOrdersWithCallbacks: messages and callbacks share one
+// (time, schedule order) queue, so equal-time events fire exactly in
+// the order they were posted, whatever their kind.
+func TestPostMsgOrdersWithCallbacks(t *testing.T) {
+	env := NewEnv()
+	var log []string
+	env.PostMsg(Time(time.Millisecond), &pingMsg{env: env, id: 1, log: &log})
+	env.After(time.Millisecond, func() { log = append(log, "f@1ms") })
+	env.PostMsg(Time(time.Millisecond), &pingMsg{env: env, id: 2, log: &log})
+	env.PostMsg(0, &pingMsg{env: env, id: 0, hops: 1, log: &log})
+	env.Run()
+	want := []string{"m0@0s", "m1@1ms", "f@1ms", "m2@1ms", "m0@1ms"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("delivery order %v, want %v", log, want)
+	}
+}
+
+// TestPostMsgSteadyStateAllocations: a pooled message hopping through
+// the queue allocates nothing per hop — the event is pooled by the
+// kernel and the payload by its sender.
+func TestPostMsgSteadyStateAllocations(t *testing.T) {
+	env := NewEnv()
+	m := &pingMsg{env: env}
+	round := func() {
+		m.hops = 1000
+		env.PostMsg(env.Now(), m)
+		env.Run()
+		env.Reopen()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(3, round); allocs > 0 {
+		t.Errorf("1000 message hops allocated %.0f objects, want 0", allocs)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/coe"
@@ -170,11 +171,17 @@ func (t *ArrivalTrace) Write(w io.Writer) error {
 // Sanity bounds for ReadTrace: a corrupt length prefix must not turn
 // into an absurd allocation.
 const (
-	maxTraceString = 1 << 12 // stream / tenant name bytes
-	maxTraceChain  = 1 << 10 // stages per request
+	maxTraceString   = 1 << 12 // stream / tenant name bytes
+	maxTraceChain    = 1 << 10 // stages per request
+	maxTracePrealloc = 1 << 12 // entries reserved up front; the rest grow as they decode
 )
 
-// ReadTrace reads a trace in the format Write produces.
+// ReadTrace reads a trace in the format Write produces. It trusts
+// nothing in its input: claimed counts bound the decode but reserve
+// memory only for what actually arrives, and a value too large for its
+// field — an arrival offset past the longest time.Duration, a class
+// past the largest int, an expert id past the largest coe.ExpertID — is
+// an error rather than a silent wrap.
 func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
@@ -218,17 +225,23 @@ func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 	if count > DrainCap {
 		return nil, fmt.Errorf("workload: trace claims %d entries, above the %d cap", count, DrainCap)
 	}
-	t.Entries = make([]ArrivalEntry, 0, count)
+	t.Entries = make([]ArrivalEntry, 0, min(count, maxTracePrealloc))
 	for i := uint64(0); i < count; i++ {
 		var e ArrivalEntry
 		at, err := readUvarint("arrival offset")
 		if err != nil {
 			return nil, err
 		}
+		if at > math.MaxInt64 {
+			return nil, fmt.Errorf("workload: trace entry %d arrival offset %d overflows time.Duration", i, at)
+		}
 		e.At = time.Duration(at)
 		class, err := readUvarint("class")
 		if err != nil {
 			return nil, err
+		}
+		if class > math.MaxInt {
+			return nil, fmt.Errorf("workload: trace entry %d class %d overflows int", i, class)
 		}
 		e.Class = int(class)
 		if e.Tenant, err = readString("tenant"); err != nil {
@@ -246,6 +259,9 @@ func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 			id, err := readUvarint("chain expert")
 			if err != nil {
 				return nil, err
+			}
+			if id > math.MaxInt32 {
+				return nil, fmt.Errorf("workload: trace entry %d expert id %d overflows coe.ExpertID", i, id)
 			}
 			e.Chain[j] = coe.ExpertID(id)
 		}
