@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench race chaos-determinism grayfail-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-kernel perfbench-smoke cover
+.PHONY: all build test vet fmt-check detlint ci bench race bench-experiments bench-cluster bench-fleet bench-chaos bench-kernel perfbench-smoke cover
 
 all: build
 
@@ -42,41 +42,13 @@ cover:
 # run engine (internal/runner, the experiments fan-out) must stay clean
 # here, and the golden test (TestParallelOutputByteIdentical) renders
 # every experiment, serve-shard's interconnect path included, under the
-# detector and diffs it against testdata/golden. The chaos and grayfail
-# determinism checks ride along, with their -race legs exercising the
-# crash/redeliver and breaker/hedge paths.
-race: chaos-determinism grayfail-determinism
+# detector and diffs it against testdata/golden. The fault-injection
+# determinism test (TestFaultExperimentsDeterministic) rides along: it
+# renders serve-chaos and serve-grayfail twice each and diffs the
+# renders against each other and the goldens, so its -race leg
+# exercises the crash/redeliver and breaker/hedge paths.
+race:
 	$(GO) test -race ./...
-
-# chaos-determinism pins the fault-injection guarantee: the serve-chaos
-# experiment (rolling crash/drain/recover with lease redelivery) renders
-# byte-identically across plain runs AND under the race detector. The
-# trailing "(N experiment(s) regenerated in ...)" timing line is the one
-# wall-clock-dependent line in the output and is stripped before the
-# diff.
-chaos-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/a" || exit 1; \
-	$(GO) run ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/b" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/c" || exit 1; \
-	cmp "$$tmp/a" "$$tmp/b" || { echo "chaos-determinism: two plain serve-chaos runs differ"; exit 1; }; \
-	cmp "$$tmp/a" "$$tmp/c" || { echo "chaos-determinism: serve-chaos differs under -race"; exit 1; }; \
-	echo "chaos-determinism: OK — serve-chaos byte-identical across runs and under -race"
-
-# grayfail-determinism pins the same guarantee for the gray-failure
-# stack: serve-grayfail (fail-slow/jitter/stall injection, health-scored
-# breaker, hedged redelivery — timer cancellation and all) renders
-# byte-identically across plain runs AND under the race detector.
-grayfail-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/a" || exit 1; \
-	$(GO) run ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/b" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/c" || exit 1; \
-	cmp "$$tmp/a" "$$tmp/b" || { echo "grayfail-determinism: two plain serve-grayfail runs differ"; exit 1; }; \
-	cmp "$$tmp/a" "$$tmp/c" || { echo "grayfail-determinism: serve-grayfail differs under -race"; exit 1; }; \
-	echo "grayfail-determinism: OK — serve-grayfail byte-identical across runs and under -race"
 
 # bench compiles and executes every benchmark exactly once (no test
 # functions), so the benchmark harness cannot rot, and pipes the output
@@ -118,12 +90,13 @@ bench-chaos:
 
 # bench-kernel reproduces (and gates) the BENCH_kernel.json measurement:
 # the event loop, the single-node serve loop, the scheduler inner loop,
-# and the cluster router's residency-first pick over a warm 100-node
-# fleet (BenchmarkAffinityPick). `make bench` (and the CI bench job)
+# the cluster router's residency-first pick over a warm 100-node fleet
+# (BenchmarkAffinityPick), and one executor's steady-state cycle
+# (BenchmarkExecutorCycle). `make bench` (and the CI bench job)
 # already executes these once; this target is the recorded baseline's
 # regeneration recipe.
 bench-kernel:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkAffinityPick' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkAffinityPick|BenchmarkExecutorCycle' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
 
 # perfbench-smoke runs the repository's benchmark (perfbench/, see
 # BENCHMARK.json) for one host second per workload with tracing off and

@@ -12,7 +12,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coe"
 	"repro/internal/core"
+	"repro/internal/executor"
 	"repro/internal/hw"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/sched"
@@ -291,6 +293,12 @@ func BenchmarkSimKernel(b *testing.B) {
 		}
 		env.Run()
 	}
+	// One P, so the goroutines and channel waiters the warm-up leaves
+	// behind for reuse sit in the one per-P cache the timed runs draw
+	// from: with more Ps they can land in another P's cache, and
+	// -benchtime 1x allocations then vary run to run. The kernel runs
+	// one goroutine at a time either way.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -376,6 +384,72 @@ func BenchmarkAffinityPick(b *testing.B) {
 
 // pickSink keeps BenchmarkAffinityPick's result live.
 var pickSink int
+
+// BenchmarkExecutorCycle measures one executor's steady-state cycle:
+// enqueue a request for a resident expert, run its batch on the
+// kernel, and hand the request to OnBatch. The executor is a kernel
+// state machine, so the cycle is a few posted events with no goroutine
+// handoff, and it allocates nothing: queue groups, gate waiter buffers
+// and kernel events are all recycled.
+func BenchmarkExecutorCycle(b *testing.B) {
+	env := sim.NewEnv()
+	dev := hw.NUMADevice()
+	store := pool.NewStore(env, dev, 0)
+	bld := coe.NewBuilder("cycle")
+	id := bld.AddExpert("c", model.ResNet101, coe.Preliminary)
+	bld.AddRule(0, coe.Rule{Classifier: id})
+	m, err := bld.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := m.Expert(id)
+	pl := pool.New("gpu0", 2*e.WeightBytes(), store, memory.TierGPU, pool.LRU{}, env.Now, make([]int32, m.NumExperts()))
+	pl.Preload(e)
+	perf := model.Perf{
+		Arch: e.Arch, K: model.KCoeff(e.Arch, dev.GPU), B: dev.GPU.LaunchOverhead,
+		MaxBatch: 16, ActPerImage: model.ActBytesPerImage(e.Arch, dev.GPU),
+	}
+	q := sched.NewQueue(env, "gpu0", sched.ModeGrouped, sched.Costs{
+		K:           func(*coe.Expert) time.Duration { return perf.K },
+		B:           func(*coe.Expert) time.Duration { return perf.B },
+		PredictLoad: func(e *coe.Expert) time.Duration { return store.PredictLoad(e, memory.TierGPU) },
+		IsLoaded:    pl.IsLoaded,
+	})
+	served := 0
+	ex := &executor.Executor{
+		Name: "gpu0",
+		Proc: executor.ProcProfile{
+			Exec:        func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) },
+			ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, dev.GPU) },
+		},
+		Queue:   q,
+		Pool:    pl,
+		Compute: sim.NewResource(env, "gpu/compute", 1),
+		Acts:    memory.NewArena("gpu/acts", 1<<30),
+		Perf:    func(*coe.Expert) model.Perf { return perf },
+		Done:    func() bool { return false },
+		OnBatch: func(sim.Time, *coe.Request) { served++ },
+	}
+	ex.Start(env)
+	req := coe.NewRequest(0, 0, []coe.ExpertID{id})
+	cycle := func() {
+		q.Enqueue(e, req)
+		env.RunUntil(env.Now().Add(time.Hour))
+	}
+	const warm = 4 // the launch event, and queue groups reaching the free list
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	if served != warm+b.N || ex.Batches() != int64(served) {
+		b.Fatalf("served %d requests in %d batches, want %d in %d", served, ex.Batches(), warm+b.N, warm+b.N)
+	}
+}
 
 // BenchmarkGroupedEnqueue measures the queue arranging hot path: one
 // merge into an existing group plus the gate notify, the per-request

@@ -714,8 +714,9 @@ func parseInterconnect(spec string) (coserve.Interconnect, error) {
 // The gray kinds take a parameter after the node, separated by 'x':
 // "slow@2s:1x4" multiplies node 1's service time by 4 from 2s on,
 // "jitter@2s:1x8" inflates each batch by a seeded factor in [1, 8], and
-// "stall@2s:1x1.5s" freezes the node for 1.5s. The cluster validates
-// the assembled plan (event ordering, node range, and the per-node
+// "stall@2s:1x1.5s" freezes the node for 1.5s. Every field must parse
+// whole: trailing text is an error. The cluster validates the assembled
+// plan (event ordering, node range, and the per-node
 // lifecycle state machine) when it is configured.
 func parseFaultPlan(spec string) (*coserve.FaultPlan, error) {
 	plan := &coserve.FaultPlan{}
@@ -762,7 +763,7 @@ func parseFaultPlan(spec string) (*coserve.FaultPlan, error) {
 			if !hasParam {
 				return nil, fmt.Errorf("bad -chaos event %q: %s needs a factor, e.g. %s@2s:1x4", tok, kindStr, kindStr)
 			}
-			if _, err := fmt.Sscanf(param, "%g", &ev.Factor); err != nil {
+			if ev.Factor, err = strconv.ParseFloat(param, 64); err != nil {
 				return nil, fmt.Errorf("bad -chaos event %q: factor %q is not a number", tok, param)
 			}
 		case coserve.FaultStall:
@@ -777,7 +778,7 @@ func parseFaultPlan(spec string) (*coserve.FaultPlan, error) {
 				return nil, fmt.Errorf("bad -chaos event %q: %s takes no parameter", tok, kindStr)
 			}
 		}
-		if _, err := fmt.Sscanf(nodeStr, "%d", &ev.Node); err != nil {
+		if ev.Node, err = strconv.Atoi(nodeStr); err != nil {
 			return nil, fmt.Errorf("bad -chaos event %q: node %q is not an integer", tok, nodeStr)
 		}
 		plan.Events = append(plan.Events, ev)

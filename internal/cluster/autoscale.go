@@ -156,6 +156,6 @@ func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
 		resumed = true
 	}
 	if resumed && c.chaos != nil {
-		c.flushPending(p)
+		c.flushPending(now)
 	}
 }

@@ -272,8 +272,7 @@ func (cs *chaosState) verify(now sim.Time, where string) {
 // node, lease voiding and redelivery for crashes, drain timing for
 // drains, and pending-queue flushing for recoveries. The exactly-once
 // invariant is checked after every event — the fault boundaries.
-func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
-	now := p.Now()
+func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 	cs := c.chaos
 	n := c.nodes[ev.Node]
 	switch ev.Kind {
@@ -345,9 +344,9 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 		if c.health != nil {
 			c.health.resetNode(ev.Node)
 		}
-		n.sys.Crash(p)
+		n.sys.Crash(now)
 		for i, l := range voided {
-			if !c.redeliverOne(p, l) {
+			if !c.redeliverOne(now, l) {
 				// No routable node: this and every remaining lease park.
 				cs.pending = append(cs.pending, voided[i:]...)
 				break
@@ -390,7 +389,7 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 		}
 		n.sys.ClearGray()
 		c.unroutable--
-		c.flushPending(p)
+		c.flushPending(now)
 	case sim.FaultSlow:
 		if n.sys.State() == core.NodeDown {
 			break
@@ -428,8 +427,7 @@ func jitterSeed(ev sim.FaultEvent) int64 {
 // request is gone, counted once, never double-counted in the fleet
 // recorder (a lease that already counted as an arrival does not also
 // count as a rejection).
-func (c *Cluster) redeliverOne(p *sim.Proc, l *lease) bool {
-	now := p.Now()
+func (c *Cluster) redeliverOne(now sim.Time, l *lease) bool {
 	if c.latency != nil {
 		return c.shardRedeliver(now, l)
 	}
@@ -441,7 +439,7 @@ func (c *Cluster) redeliverOne(p *sim.Proc, l *lease) bool {
 		return false
 	}
 	c.routed[idx]++
-	receipt, ok := c.nodes[idx].sys.Offer(p, workload.TimedRequest{Req: r, Tenant: l.tenant})
+	receipt, ok := c.nodes[idx].sys.Offer(now, workload.TimedRequest{Req: r, Tenant: l.tenant})
 	if ok {
 		if l.hasArrival {
 			cs.redelivered++
@@ -473,14 +471,14 @@ func (c *Cluster) redeliverOne(p *sim.Proc, l *lease) bool {
 // flushPending delivers parked leases in order after a recovery,
 // stopping (and keeping the rest parked) if the fleet goes unroutable
 // again mid-flush.
-func (c *Cluster) flushPending(p *sim.Proc) {
+func (c *Cluster) flushPending(now sim.Time) {
 	cs := c.chaos
 	if len(cs.pending) == 0 {
 		return
 	}
 	rest := cs.pending[:0]
 	for i, l := range cs.pending {
-		if !c.redeliverOne(p, l) {
+		if !c.redeliverOne(now, l) {
 			rest = append(rest, cs.pending[i:]...)
 			break
 		}

@@ -89,6 +89,15 @@ func TestChaosCrashRedeliversEveryLease(t *testing.T) {
 	if nr.Dropped == 0 || nr.Completions+nr.Dropped != nr.N {
 		t.Errorf("node1: %d completions + %d dropped != %d admitted", nr.Completions, nr.Dropped, nr.N)
 	}
+	// Every executor run — the crashed epoch's and the restart's — has
+	// exited: none is left queued on a gate.
+	for _, n := range cl.Nodes() {
+		for _, q := range n.sys.Queues() {
+			if w := q.Gate().Waiting(); w != 0 {
+				t.Errorf("%s: %d waiters left on the queue gate after Serve", q.Name(), w)
+			}
+		}
+	}
 }
 
 // TestChaosZeroFaultByteIdentical pins the acceptance bar that fault

@@ -168,6 +168,16 @@ type Cluster struct {
 	// stream — the imbalance numerator.
 	routed []int64
 
+	// The arrival loop's state: the stream's source and start instant,
+	// the loop's callback (bound once, so re-arming it allocates
+	// nothing), and the request it is waiting to deliver, valid while
+	// waiting is set.
+	src      workload.Source
+	srcStart sim.Time
+	arrive   func()
+	due      workload.TimedRequest
+	waiting  bool
+
 	// chaos is the per-stream durable-delivery state (lease ledger,
 	// redelivery queue, exactly-once counters); nil on fault-free
 	// streams, which therefore pay nothing for the machinery.
@@ -309,12 +319,12 @@ type nodeDelegate struct {
 // RequestDone implements core.StreamDelegate. With the interconnect
 // enabled the completion travels to the front end as a fold one hop
 // later instead of a direct call.
-func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
+func (d *nodeDelegate) RequestDone(now sim.Time, r *coe.Request) {
 	if d.c.latency != nil {
-		d.c.foldCompletion(d.idx, p.Now(), r)
+		d.c.foldCompletion(d.idx, now, r)
 		return
 	}
-	d.c.requestDone(p, d.idx, r)
+	d.c.requestDone(now, d.idx, r)
 }
 
 // RequestDropped implements core.DropDelegate: under ExternalRecycle —
@@ -387,7 +397,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.chaos != nil {
 		plan := c.cfg.Faults
 		c.env.Go("cluster/chaos", func(p *sim.Proc) {
-			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p, ev) })
+			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p.Now(), ev) })
 		})
 	}
 	if c.cfg.Autoscaler != nil {
@@ -396,7 +406,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.health != nil {
 		c.env.Go("cluster/health", c.healthLoop)
 	}
-	c.env.Go("cluster/arrivals", func(p *sim.Proc) { c.admit(p, src) })
+	c.admit(src)
 	c.env.Run()
 
 	if cs := c.chaos; cs != nil {
@@ -459,27 +469,41 @@ func (c *Cluster) beginLifecycle() {
 	}
 }
 
-// admit is the cluster's arrival process: it walks the source, sleeps
-// until each request's due time, asks the router for a node, and offers
-// the request to that node's admission and dispatch path. When the
-// source closes it closes every node's stream so the fleet drains and
-// shuts down.
-func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
-	start := p.Now()
+// admit starts the cluster's arrival loop on src at the current
+// instant, behind the events already scheduled for it.
+func (c *Cluster) admit(src workload.Source) {
+	c.src, c.srcStart, c.waiting = src, c.env.Now(), false
+	if c.arrive == nil {
+		c.arrive = c.arrivals
+	}
+	c.env.After(0, c.arrive)
+}
+
+// arrivals is the cluster's arrival loop, a self-rescheduling kernel
+// callback: it walks the source, asks the router for a node for each
+// request at its due time, and offers the request to that node's
+// admission and dispatch path, re-arming itself for the first request
+// not yet due. When the source closes it closes every node's stream so
+// the fleet drains and shuts down.
+func (c *Cluster) arrivals() {
+	now := c.env.Now()
+	if c.waiting {
+		c.waiting = false
+		c.arrival(now, c.due)
+	}
 	for {
-		tr, ok := src.Next()
+		tr, ok := c.src.Next()
 		if !ok {
 			break
 		}
-		due := start.Add(tr.At)
-		if wait := due.Sub(p.Now()); wait > 0 {
-			p.Sleep(wait)
+		if wait := c.srcStart.Add(tr.At).Sub(now); wait > 0 {
+			c.due, c.waiting = tr, true
+			c.env.After(wait, c.arrive)
+			return
 		}
-		if c.chaos != nil {
-			c.chaos.arrivals++
-		}
-		c.deliver(p, tr)
+		c.arrival(now, tr)
 	}
+	c.src, c.due = nil, workload.TimedRequest{}
 	if c.chaos == nil {
 		c.closedAll = true
 		for _, n := range c.nodes {
@@ -491,16 +515,23 @@ func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
 	// still need redelivery to a node that has not recovered yet, so the
 	// nodes' streams stay open until every lease has resolved.
 	c.chaos.srcClosed = true
-	c.chaos.verify(p.Now(), "source exhausted")
+	c.chaos.verify(now, "source exhausted")
 	c.maybeClose()
+}
+
+// arrival counts one due arrival in the chaos ledger and delivers it.
+func (c *Cluster) arrival(now sim.Time, tr workload.TimedRequest) {
+	if c.chaos != nil {
+		c.chaos.arrivals++
+	}
+	c.deliver(now, tr)
 }
 
 // deliver runs one arrival through cluster admission, routing, and the
 // chosen node's offer path. With faults configured it additionally
 // opens a lease in the chaos ledger on admission, and parks the request
 // for later redelivery when no routable node exists at this instant.
-func (c *Cluster) deliver(p *sim.Proc, tr workload.TimedRequest) {
-	now := p.Now()
+func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 	if c.cfg.Admission != nil && !c.cfg.Admission.Admit(now, c, tr.Req) {
 		c.recorder.Rejection(now)
 		if c.chaos != nil {
@@ -525,7 +556,7 @@ func (c *Cluster) deliver(p *sim.Proc, tr workload.TimedRequest) {
 		return
 	}
 	c.routed[idx]++
-	lease, ok := c.nodes[idx].sys.Offer(p, tr)
+	lease, ok := c.nodes[idx].sys.Offer(now, tr)
 	if ok {
 		c.recorder.Arrival(now)
 		if c.chaos != nil {
@@ -638,8 +669,7 @@ func (c *Cluster) PredictLatency(r *coe.Request) time.Duration {
 // final completion. A hedged lease resolves to whichever copy acked
 // first; the loser becomes an orphan whose own completion lands in the
 // nil-lease branch as wasted work.
-func (c *Cluster) requestDone(p *sim.Proc, idx int, r *coe.Request) {
-	now := p.Now()
+func (c *Cluster) requestDone(now sim.Time, idx int, r *coe.Request) {
 	if cs := c.chaos; cs != nil {
 		l := cs.ledger[r.ID]
 		if l == nil {

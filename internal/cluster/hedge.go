@@ -122,7 +122,7 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 		return
 	}
 	c.routed[idx]++
-	_, ok := c.nodes[idx].sys.Offer(p, workload.TimedRequest{Req: r, Tenant: l.tenant})
+	_, ok := c.nodes[idx].sys.Offer(now, workload.TimedRequest{Req: r, Tenant: l.tenant})
 	if !ok {
 		cs.hedgeRejected++
 		c.rearmHedge(l)

@@ -238,7 +238,7 @@ func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Reques
 		c.postFold(idx, now, opBounce, kind, r, tenant, l, core.Lease{})
 		return
 	}
-	receipt, ok := sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: tenant})
+	receipt, ok := sys.Offer(now, workload.TimedRequest{Req: r, Tenant: tenant})
 	if ok {
 		c.postFold(idx, now, opAccept, kind, r, tenant, l, receipt)
 	} else {

@@ -10,7 +10,7 @@ import (
 )
 
 // controller owns admission and completion for one stream served by a
-// System: it feeds timed requests from the arrival process through the
+// System: it feeds timed requests from the arrival loop through the
 // admission policy into the dispatch path, tracks outstanding work, and
 // shuts the executors down once the stream has fully drained — the
 // lifecycle logic that used to live inline in RunTask. In cluster mode
@@ -29,6 +29,13 @@ type controller struct {
 	// it implements one (control.TenantQuota); resolved once so the
 	// per-arrival path pays no type assertion.
 	tenantAdmit control.TenantAdmitter
+
+	// arrive is the arrival loop's callback, bound once per stream so
+	// re-arming it allocates nothing; due is the request it is waiting
+	// to offer, valid while waiting is set.
+	arrive  func()
+	due     workload.TimedRequest
+	waiting bool
 
 	admitted   int64
 	rejected   int64
@@ -78,22 +85,37 @@ func newController(s *System, src workload.Source) *controller {
 	return c
 }
 
-// admit is the arrival process body: it walks the source, sleeps until
-// each request's due time, and offers it to admission and dispatch.
+// admit starts the arrival loop at the current instant, behind the
+// events already scheduled for it.
+func (c *controller) admit() {
+	c.arrive = c.arrivals
+	c.sys.env.After(0, c.arrive)
+}
+
+// arrivals is the arrival loop, a self-rescheduling kernel callback: it
+// walks the source, offering each request to admission and dispatch at
+// its due time, and re-arms itself for the first request not yet due.
 // When the source closes it arms completion-driven shutdown (and shuts
 // down immediately if the stream already drained).
-func (c *controller) admit(p *sim.Proc) {
+func (c *controller) arrivals() {
+	now := c.sys.env.Now()
+	if c.waiting {
+		c.waiting = false
+		c.offer(now, c.due)
+	}
 	for {
 		tr, ok := c.src.Next()
 		if !ok {
 			break
 		}
-		due := c.start.Add(tr.At)
-		if wait := due.Sub(p.Now()); wait > 0 {
-			p.Sleep(wait)
+		if wait := c.start.Add(tr.At).Sub(now); wait > 0 {
+			c.due, c.waiting = tr, true
+			c.sys.env.After(wait, c.arrive)
+			return
 		}
-		c.offer(p.Now(), tr)
+		c.offer(now, tr)
 	}
+	c.due = workload.TimedRequest{}
 	c.closed = true
 	if c.completed+c.dropped == c.admitted {
 		c.finish()
@@ -157,14 +179,13 @@ func (c *controller) admitOne(now sim.Time, r *coe.Request, tenant string) bool 
 // re-dispatched for their subsequent expert; finished requests are
 // recorded, and the final completion of a closed stream shuts the
 // system down.
-func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
+func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	s := c.sys
 	s.recorder.StageDone()
 	if r.Advance() {
 		s.dispatch(r)
 		return
 	}
-	now := p.Now()
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
 	if tenant, ok := c.tenantOf[r.ID]; ok {
@@ -181,7 +202,7 @@ func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
 	}
 	c.completed++
 	if c.delegate != nil {
-		c.delegate.RequestDone(p, r)
+		c.delegate.RequestDone(now, r)
 	}
 	// Last touch of the request: its completion is recorded, the trace
 	// event holds copies, the tenant entry is gone, and the delegate has

@@ -503,14 +503,14 @@ func (s *System) streamDone() bool {
 }
 
 // onBatch forwards stage completions to the active stream's controller.
-func (s *System) onBatch(p *sim.Proc, r *coe.Request) {
-	s.ctrl.onBatch(p, r)
+func (s *System) onBatch(now sim.Time, r *coe.Request) {
+	s.ctrl.onBatch(now, r)
 }
 
 // onVoid forwards crash-voided batch requests to the controller's drop
 // path: accounted, recycled, never acked.
-func (s *System) onVoid(p *sim.Proc, r *coe.Request) {
-	s.ctrl.drop(p.Now(), r)
+func (s *System) onVoid(now sim.Time, r *coe.Request) {
+	s.ctrl.drop(now, r)
 }
 
 // Serve runs one request stream to completion and returns its report.
@@ -530,7 +530,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 		return nil, err
 	}
 	if workload.IsUnbounded(src) {
-		// An infinite source would keep the arrival process alive forever;
+		// An infinite source would keep the arrival loop alive forever;
 		// the admission loop has no way to stop it.
 		return nil, fmt.Errorf("core: stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
 			src.Name())
@@ -551,7 +551,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 	}
 	s.runs++
 	s.beginStream(src, nil)
-	s.env.Go("arrivals", s.ctrl.admit)
+	s.ctrl.admit()
 	s.env.Run()
 
 	if !s.ctrl.finished {
@@ -598,9 +598,9 @@ func (s *System) resetStream() {
 
 // beginStream arms one stream: a fresh controller (with the delegate for
 // externally fed streams), admission reset, the stream trace marker, and
-// the executor and autoscaler processes. The caller then starts the
-// arrival process — the controller's own admit loop for Serve, the
-// cluster's router loop for joined systems — and runs the env.
+// the executor runs and autoscaler process. The caller then starts the
+// arrival loop — the controller's own for Serve, the cluster's router
+// loop for joined systems — and runs the env.
 func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 	// A node left Down, Draining, or gray-degraded by a previous
 	// stream's faults starts the next stream healthy — the operator
@@ -619,8 +619,7 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 		})
 	}
 	for _, ex := range s.executors {
-		ex := ex
-		s.env.Go(ex.Name, ex.Run)
+		ex.Start(s.env)
 	}
 	if s.cfg.Autoscaler != nil {
 		s.env.Go("autoscale", s.autoscale)
@@ -632,7 +631,7 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 // request, at the virtual instant its final stage completes, after the
 // node's own accounting.
 type StreamDelegate interface {
-	RequestDone(p *sim.Proc, r *coe.Request)
+	RequestDone(now sim.Time, r *coe.Request)
 }
 
 // DropDelegate is the optional companion of StreamDelegate under
@@ -649,7 +648,7 @@ type DropDelegate interface {
 // fed stream named stream: per-stream statistics are reset (the env
 // owner re-arms the shared env itself), the executors are launched into
 // the shared env, and subsequent Offer calls feed arrivals in. The env
-// owner closes the stream with CloseStream once the arrival process is
+// owner closes the stream with CloseStream once the arrival loop is
 // exhausted and collects the node's slice of the run with StreamReport
 // after the env drains.
 func (s *System) JoinStream(stream string, d StreamDelegate) error {
@@ -676,24 +675,16 @@ func (n namedStream) Name() string                      { return string(n) }
 func (namedStream) Next() (workload.TimedRequest, bool) { return workload.TimedRequest{}, false }
 
 // Offer feeds one externally routed arrival into the node's admission
-// and dispatch path at the current virtual time, exactly as the node's
-// own arrival process would. On admission it returns a lease receipt —
-// the node now holds the request and will ack its completion through
-// the stream delegate's RequestDone, unless a crash voids the lease
-// first — with ok true. A rejected request leaves only a rejection
-// mark; a node that is not Up refuses the offer outright, leaving no
-// mark at all (the dispatcher should not have routed here). Offer must
-// only be called between JoinStream and CloseStream, from a process of
-// the shared env.
-func (s *System) Offer(p *sim.Proc, tr workload.TimedRequest) (Lease, bool) {
-	return s.OfferAt(p.Now(), tr)
-}
-
-// OfferAt is Offer from event-callback context: the caller names the
-// current virtual time explicitly instead of passing a process. The
-// cluster interconnect delivers offers to a node as timed events, which
-// run on the kernel rather than in a process.
-func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
+// and dispatch path at now, the current virtual time, exactly as the
+// node's own arrival loop would. On admission it returns a lease
+// receipt — the node now holds the request and will ack its completion
+// through the stream delegate's RequestDone, unless a crash voids the
+// lease first — with ok true. A rejected request leaves only a
+// rejection mark; a node that is not Up refuses the offer outright,
+// leaving no mark at all (the dispatcher should not have routed here).
+// Offer must only be called between JoinStream and CloseStream, from
+// a handler of the shared env.
+func (s *System) Offer(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	if s.state != NodeUp {
 		return Lease{}, false
 	}
@@ -703,7 +694,7 @@ func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	return Lease{Request: tr.Req.ID, Node: s.cfg.ID, Issued: now, Epoch: s.epoch}, true
 }
 
-// CloseStream marks a joined stream's arrival process exhausted: once
+// CloseStream marks a joined stream's arrivals exhausted: once
 // the node's admitted requests drain, its executors shut down. Called by
 // the env owner when the cluster-wide source closes.
 func (s *System) CloseStream() {

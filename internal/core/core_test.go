@@ -61,6 +61,18 @@ func buildSystem(t testing.TB, dev *hw.Device, v Variant, board *workload.Board)
 	return s
 }
 
+// checkGatesIdle fails the test if any executor is still queued on its
+// queue's gate: once a stream has finished, every executor run has
+// exited, so a waiter left behind would be posted into the next stream.
+func checkGatesIdle(t *testing.T, s *System) {
+	t.Helper()
+	for _, q := range s.Queues() {
+		if n := q.Gate().Waiting(); n != 0 {
+			t.Errorf("%s: %d waiters left on the queue gate after the stream", q.Name(), n)
+		}
+	}
+}
+
 func smallTask(board *workload.Board, n int) workload.Task {
 	return workload.Task{Name: "small", Board: board, N: n, ArrivalPeriod: workload.DefaultArrivalPeriod, Seed: 99}
 }
@@ -78,6 +90,7 @@ func TestSystemCompletesSmallTask(t *testing.T) {
 			if rep.Completions != 200 {
 				t.Errorf("completions = %d, want 200", rep.Completions)
 			}
+			checkGatesIdle(t, s)
 			if rep.Throughput <= 0 {
 				t.Error("throughput not positive")
 			}
@@ -245,10 +258,12 @@ func TestRunTaskRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGatesIdle(t, s)
 	r2, err := s.RunTask(smallTask(board, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGatesIdle(t, s)
 	if r1.Completions != 50 || r2.Completions != 50 {
 		t.Errorf("completions = %d, %d; want 50, 50", r1.Completions, r2.Completions)
 	}

@@ -74,7 +74,7 @@ func (s *System) grayFor() *grayState {
 // degrade is the executor Degrade hook: it maps a batch's profiled
 // latency to the latency the degraded node actually serves. Wired on
 // every executor; the nil check is the healthy node's entire cost.
-func (s *System) degrade(p *sim.Proc, lat time.Duration) time.Duration {
+func (s *System) degrade(now sim.Time, lat time.Duration) time.Duration {
 	g := s.gray
 	if g == nil {
 		return lat
@@ -86,7 +86,6 @@ func (s *System) degrade(p *sim.Proc, lat time.Duration) time.Duration {
 		lat = time.Duration(float64(lat) * (1 + (g.jitter-1)*g.rng.Float64()))
 	}
 	if g.stallUntil != 0 {
-		now := p.Now()
 		if remain := g.stallUntil.Sub(now); remain > 0 {
 			lat += remain
 		} else {

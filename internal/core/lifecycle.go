@@ -107,16 +107,11 @@ func (s *System) Resume() {
 // purged and dropped — recorded, recycled, and struck from the node's
 // accounting so the stream can still finish exactly — and the executors
 // are woken to observe the down state and exit. The requests a crash
-// voids are the dispatcher's to redeliver: it held the leases. Returns
-// the number of requests dropped from the queues (in-flight batches
-// surface as drops later, when their virtual execution unwinds).
-func (s *System) Crash(p *sim.Proc) int {
-	return s.CrashAt(p.Now())
-}
-
-// CrashAt is Crash from event-callback context, naming the current
-// virtual time explicitly instead of passing a process.
-func (s *System) CrashAt(now sim.Time) int {
+// voids are the dispatcher's to redeliver: it held the leases. now is
+// the current virtual time. Returns the number of requests dropped from
+// the queues (in-flight batches surface as drops later, when their
+// virtual execution unwinds).
+func (s *System) Crash(now sim.Time) int {
 	if s.state == NodeDown {
 		return 0
 	}
@@ -143,9 +138,9 @@ func (s *System) CrashAt(now sim.Time) int {
 }
 
 // Restart returns a crashed node to service: the state goes Up and — if
-// a stream is still open — a fresh set of executor processes is
-// launched (the crashed epoch's processes exited, or will exit the
-// moment they observe the epoch change). The node rejoins routing with
+// a stream is still open — a fresh run of every executor is launched
+// (the crashed epoch's runs exited, or will exit the moment they
+// observe the epoch change). The node rejoins routing with
 // empty queues; its pools keep whatever the crash left resident, the
 // warm-restart analogue of a machine coming back with its disk intact.
 func (s *System) Restart() {
@@ -155,8 +150,7 @@ func (s *System) Restart() {
 	s.state = NodeUp
 	if s.serving && s.ctrl != nil && !s.ctrl.finished {
 		for _, ex := range s.executors {
-			ex := ex
-			s.env.Go(ex.Name, ex.Run)
+			ex.Start(s.env)
 		}
 	}
 }

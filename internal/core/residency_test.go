@@ -14,7 +14,7 @@ import (
 // countDelegate is a joined stream's completion hook that only counts.
 type countDelegate struct{ done int }
 
-func (d *countDelegate) RequestDone(*sim.Proc, *coe.Request) { d.done++ }
+func (d *countDelegate) RequestDone(sim.Time, *coe.Request) { d.done++ }
 
 // TestResidencyCountMatchesPools pins the per-node residency count
 // behind ExpertResident against its definition — the OR of Resident
@@ -84,12 +84,12 @@ func TestResidencyCountMatchesPools(t *testing.T) {
 						if wait := start.Add(tr.At).Sub(p.Now()); wait > 0 {
 							p.Sleep(wait)
 						}
-						s.Offer(p, tr)
+						s.Offer(p.Now(), tr)
 						if !check(fmt.Sprintf("stream %d arrival %d", stream, i)) {
 							break
 						}
 						if stream == 1 && i == 150 {
-							s.Crash(p)
+							s.Crash(p.Now())
 							check("crash")
 							p.Sleep(time.Second)
 							s.Restart()

@@ -1,8 +1,18 @@
-// Package executor implements inference executors: simulation processes
-// that drain a request queue, ensure the required expert is resident
-// (triggering managed expert switches), split work into batches bounded
-// by profiled maximum batch size and free activation memory, and execute
-// on the shared compute resource of their processor (§4.1 steps 4–8).
+// Package executor implements inference executors (§4.1 steps 4–8): an
+// executor drains a request queue, ensures the required expert is
+// resident (triggering managed expert switches), splits work into
+// batches bounded by profiled maximum batch size and free activation
+// memory, and executes them on the shared compute resource of its
+// processor.
+//
+// An executor runs as a state machine on the simulation kernel, not as
+// a process: each launch (Start) is a Run, a sim.Message that the
+// kernel delivers whenever the executor may proceed — work arrived at
+// its queue's gate, a sharer's load of its expert finished, a transfer
+// leg's resource freed or its hold ended, activation memory was
+// reserved, the compute unit freed, or a batch completed. Between those
+// points the run is just data; serving a request costs no goroutine
+// handoff.
 package executor
 
 import (
@@ -41,12 +51,12 @@ type Executor struct {
 	// OnBatch is called after a batch finishes, once per request, in
 	// queue order. The controller advances multi-stage requests and
 	// records completions here.
-	OnBatch func(p *sim.Proc, r *coe.Request)
+	OnBatch func(now sim.Time, r *coe.Request)
 	// Observer, when set, is invoked once per executed batch.
 	Observer func(e *coe.Expert, n int, lat time.Duration)
-	// Epoch, when set, reports the data plane's crash epoch. serveGroup
-	// snapshots it before taking a batch; if it changed across the
-	// execution sleep — the node crashed mid-batch — the batch's results
+	// Epoch, when set, reports the data plane's crash epoch. The run
+	// snapshots it before taking a batch; if it changed by the batch's
+	// completion — the node crashed mid-batch — the batch's results
 	// are discarded and its requests handed to OnVoid instead of
 	// OnBatch, so a since-restarted node never acks work the crash
 	// voided. Nil on fault-free systems (the zero-cost default).
@@ -54,18 +64,18 @@ type Executor struct {
 	// OnVoid receives the requests of a batch voided by a mid-execution
 	// crash, once per request, in queue order. Required when Epoch is
 	// set.
-	OnVoid func(p *sim.Proc, r *coe.Request)
+	OnVoid func(now sim.Time, r *coe.Request)
 	// Degrade, when set, maps a batch's profiled execution latency to the
 	// latency actually served — the gray-failure seam. It is consulted
 	// once per batch, after the busy-until estimate is published but
-	// before the sleep: the executor's own prediction stays at the
+	// before execution: the executor's own prediction stays at the
 	// healthy profile number because a gray-degraded node does not know
 	// it is sick. That gap — real completions stretching while the
 	// node's self-model keeps promising fast — is what makes fail-slow
 	// invisible to model-driven routing and is the whole reason health
 	// must be measured from completions. A healthy node returns lat
 	// unchanged.
-	Degrade func(p *sim.Proc, lat time.Duration) time.Duration
+	Degrade func(now sim.Time, lat time.Duration) time.Duration
 
 	processed int64
 	batches   int64
@@ -95,90 +105,221 @@ func (ex *Executor) ResetStats() {
 	ex.processed, ex.batches, ex.busy = 0, 0, 0
 }
 
-// Run is the executor process body. Start it with env.Go(ex.Name, ex.Run).
-func (ex *Executor) Run(p *sim.Proc) {
+// Start launches a run of the executor on env: the run begins at the
+// current instant, behind the events already scheduled for it, and
+// ends once its queue is empty and Done reports true, or once the crash
+// epoch moves past the one it began in. Each launch is a separate Run,
+// so a crashed epoch's run can finish its in-flight batch while the
+// restarted node's run serves the queue.
+func (ex *Executor) Start(env *sim.Env) *Run {
 	if ex.OnBatch == nil || ex.Done == nil || (ex.Epoch != nil && ex.OnVoid == nil) {
 		panic(fmt.Sprintf("executor %s: incomplete wiring", ex.Name))
 	}
-	epoch := 0
-	if ex.Epoch != nil {
-		epoch = ex.Epoch()
+	r := &Run{ex: ex, env: env}
+	env.PostMsg(env.Now(), r)
+	return r
+}
+
+// step names the point a Run resumes at when the kernel delivers it.
+type step int
+
+const (
+	stepBegin   step = iota // the launch event: snapshot the epoch
+	stepNext                // pick the next head group, or wait on the gate
+	stepPin                 // pin the group's expert, or wait on a sharer's load
+	stepLeg                 // acquire the current transfer leg's resource
+	stepLegDone             // the leg's hold ended: release, go to the next
+	stepBatch               // take the next batch of the pinned group
+	stepExec                // activation memory reserved: price the batch
+	stepCompute             // acquire the compute unit and execute
+	stepDone                // the batch completed
+	stepExited              // the run has ended
+)
+
+// Run is one launch of an executor: its serving loop's state between
+// kernel deliveries.
+type Run struct {
+	ex    *Executor
+	env   *sim.Env
+	step  step
+	epoch int // the crash epoch the run began in
+
+	// The group in service, its expert (pinned from stepBatch on), and
+	// the expert's profile.
+	g    *sched.Group
+	e    *coe.Expert
+	perf model.Perf
+
+	// The expert switch in flight and its current leg.
+	load pool.Load
+	leg  int
+
+	// The batch in flight.
+	batch      []*coe.Request
+	batchEpoch int
+	actBytes   int64
+	lat        time.Duration
+}
+
+// Exited reports whether the run has ended.
+func (r *Run) Exited() bool { return r.step == stepExited }
+
+// String names the run by its executor, for resource panics.
+func (r *Run) String() string { return r.ex.Name }
+
+// Deliver implements sim.Message: it advances the run from the point it
+// waited at until it waits again or exits.
+func (r *Run) Deliver(sim.Time) {
+	for r.advance() {
 	}
-	gate := ex.Queue.Gate()
-	for {
-		if ex.Epoch != nil && ex.Epoch() != epoch {
-			// This process belongs to a crashed epoch: the node restarted
-			// and launched replacements. Exit so the executor is never
-			// served by two processes at once.
-			return
+}
+
+// advance performs one step and reports whether the run can go on at
+// once (false: it is queued on a gate, event, resource, or arena, or
+// has an event posted, or has exited).
+func (r *Run) advance() bool {
+	ex := r.ex
+	switch r.step {
+	case stepBegin:
+		if ex.Epoch != nil {
+			r.epoch = ex.Epoch()
+		}
+		r.step = stepNext
+	case stepNext:
+		if ex.Epoch != nil && ex.Epoch() != r.epoch {
+			// This run belongs to a crashed epoch: the node restarted and
+			// launched a replacement. Exit so the executor is never served
+			// by two runs at once.
+			r.step = stepExited
+			return false
 		}
 		g := ex.Queue.Head()
 		if g == nil {
 			if ex.Done() {
-				return
+				r.step = stepExited
+				return false
 			}
-			gate.Wait(p)
-			continue
+			ex.Queue.Gate().Wait(r)
+			return false
 		}
-		ex.serveGroup(p, g)
+		r.g, r.e = g, g.Expert
+		r.perf = ex.Perf(r.e)
+		r.step = stepPin
+	case stepPin:
+		pinned, loading := ex.Pool.TryPin(r.e)
+		switch {
+		case pinned:
+			r.step = stepBatch
+		case loading != nil:
+			loading.Wait(r)
+			return false
+		default:
+			r.load, r.leg = ex.Pool.StartLoad(r.e), 0
+			r.step = stepLeg
+		}
+	case stepLeg:
+		legs := r.load.Transfer.Legs()
+		if r.leg == len(legs) {
+			ex.Pool.FinishLoad(&r.load)
+			r.load = pool.Load{}
+			r.step = stepBatch
+			return true
+		}
+		leg := legs[r.leg]
+		if !leg.Res.Acquire(r) {
+			return false
+		}
+		r.env.PostMsg(r.env.Now().Add(leg.Hold), r)
+		r.step = stepLegDone
+		return false
+	case stepLegDone:
+		r.load.Transfer.Legs()[r.leg].Res.Release(r)
+		r.leg++
+		r.step = stepLeg
+	case stepBatch:
+		// The head group may keep growing while we execute (same-expert
+		// arrivals slot in behind it as fresh groups; see sched). We drain
+		// only this group; stepNext picks up successors.
+		g := r.g
+		if ex.Queue.Head() != g || g.Len() == 0 {
+			r.endGroup()
+			return true
+		}
+		if ex.Epoch != nil {
+			r.batchEpoch = ex.Epoch()
+		}
+		bound := sched.SplitBound(r.perf.MaxBatch, ex.Acts.Free(), r.perf.ActPerImage)
+		r.batch = ex.Queue.TakeFromHead(bound)
+		if len(r.batch) == 0 {
+			r.endGroup()
+			return true
+		}
+		r.actBytes = r.perf.ActPerImage * int64(len(r.batch))
+		r.step = stepExec
+		return ex.Acts.WaitReserve(r.env, r, r.actBytes)
+	case stepExec:
+		now := r.env.Now()
+		lat := ex.Proc.Exec(r.e.Arch, len(r.batch))
+		ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
+		if ex.Degrade != nil {
+			lat = ex.Degrade(now, lat)
+		}
+		r.lat = lat
+		r.step = stepCompute
+	case stepCompute:
+		if !ex.Compute.Acquire(r) {
+			return false
+		}
+		r.env.PostMsg(r.env.Now().Add(r.lat), r)
+		r.step = stepDone
+		return false
+	case stepDone:
+		r.finishBatch()
+	default:
+		panic(fmt.Sprintf("executor %s: delivered after exit", ex.Name))
 	}
+	return true
 }
 
-// serveGroup drains the head group: one expert switch at most, then as
-// many batches as the split bound allows.
-func (ex *Executor) serveGroup(p *sim.Proc, g *sched.Group) {
-	e := g.Expert
-	perf := ex.Perf(e)
-	ex.Pool.Acquire(p, e)
-	defer ex.Pool.Release(e.ID)
+// endGroup unpins the served group's expert and returns to the head of
+// the queue.
+func (r *Run) endGroup() {
+	r.ex.Pool.Release(r.e.ID)
+	r.g, r.e = nil, nil
+	r.step = stepNext
+}
 
-	// The head group may keep growing while we execute (same-expert
-	// arrivals slot in behind it as fresh groups; see sched). We drain
-	// only this group; the loop in Run picks up successors.
-	for ex.Queue.Head() == g && g.Len() > 0 {
-		epoch := 0
-		if ex.Epoch != nil {
-			epoch = ex.Epoch()
-		}
-		bound := sched.SplitBound(perf.MaxBatch, ex.Acts.Free(), perf.ActPerImage)
-		batch := ex.Queue.TakeFromHead(bound)
-		if len(batch) == 0 {
-			return
-		}
-		actBytes := perf.ActPerImage * int64(len(batch))
-		ex.Acts.WaitReserve(p, actBytes)
+// finishBatch releases a completed batch's compute unit and activation
+// memory and hands its requests on: to OnBatch, or — if the node
+// crashed while the batch was in flight — to OnVoid.
+func (r *Run) finishBatch() {
+	ex, now, batch := r.ex, r.env.Now(), r.batch
+	r.batch = nil
+	ex.Compute.Release(r)
+	ex.Acts.Release(r.actBytes)
 
-		lat := ex.Proc.Exec(e.Arch, len(batch))
-		ex.Queue.SetBusyUntil(p.Now().Add(lat + g.PredictedRemaining()))
-		if ex.Degrade != nil {
-			lat = ex.Degrade(p, lat)
+	if ex.Epoch != nil && ex.Epoch() != r.batchEpoch {
+		// The node crashed while this batch was in flight (waiting for
+		// memory, compute, or mid-execution). Its results are void: the
+		// crash already purged the queue and the dispatcher is
+		// redelivering the node's leases, so handing these to OnBatch
+		// would double-serve them. Resources were released above; the
+		// batch just produces nothing.
+		for _, req := range batch {
+			ex.OnVoid(now, req)
 		}
-		ex.Compute.Acquire(p)
-		p.Sleep(lat)
-		ex.Compute.Release(p)
-		ex.Acts.Release(actBytes)
-
-		if ex.Epoch != nil && ex.Epoch() != epoch {
-			// The node crashed while this batch was in flight (waiting for
-			// memory, compute, or mid-execution). Its results are void: the
-			// crash already purged the queue and the dispatcher is
-			// redelivering the node's leases, so handing these to OnBatch
-			// would double-serve them. Resources were released above; the
-			// batch just produces nothing.
-			for _, r := range batch {
-				ex.OnVoid(p, r)
-			}
-			return
-		}
-
-		ex.busy += lat
-		ex.batches++
-		ex.processed += int64(len(batch))
-		if ex.Observer != nil {
-			ex.Observer(e, len(batch), lat)
-		}
-		for _, r := range batch {
-			ex.OnBatch(p, r)
-		}
+		r.endGroup()
+		return
 	}
+
+	ex.busy += r.lat
+	ex.batches++
+	ex.processed += int64(len(batch))
+	if ex.Observer != nil {
+		ex.Observer(r.e, len(batch), r.lat)
+	}
+	for _, req := range batch {
+		ex.OnBatch(now, req)
+	}
+	r.step = stepBatch
 }

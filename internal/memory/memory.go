@@ -1,6 +1,6 @@
 // Package memory provides byte-accounted memory arenas for the simulated
 // device. An Arena tracks reservations against a fixed capacity and lets
-// simulation processes block until space frees up — the mechanism behind
+// simulation waiters queue until space frees up — the mechanism behind
 // the paper's tradeoff between expert storage and batch intermediate
 // results (§3.3, §4.4).
 package memory
@@ -37,8 +37,9 @@ func (t Tier) String() string {
 }
 
 // Arena is a fixed-capacity memory account. Reservations either succeed
-// immediately, fail, or (for simulation processes) block until capacity
-// frees. The zero value is unusable; create arenas with NewArena.
+// immediately, fail, or (WaitReserve) queue a simulation Message until
+// capacity frees. The zero value is unusable; create arenas with
+// NewArena.
 type Arena struct {
 	name     string
 	capacity int64
@@ -50,7 +51,8 @@ type Arena struct {
 }
 
 type waiter struct {
-	proc  *sim.Proc
+	env   *sim.Env
+	m     sim.Message
 	bytes int64
 }
 
@@ -125,15 +127,17 @@ func (a *Arena) wakeFitting() {
 		if a.reserved > a.peak {
 			a.peak = a.reserved
 		}
-		w.proc.Unpark()
+		w.env.PostMsg(w.env.Now(), w.m)
 	}
 }
 
-// WaitReserve blocks the simulation process until bytes can be reserved,
-// then reserves them. Requests queue FIFO, so a large request is not
-// starved by a stream of small ones. Panics if bytes exceeds capacity
-// outright (it could never succeed).
-func (a *Arena) WaitReserve(p *sim.Proc, bytes int64) {
+// WaitReserve reserves bytes and reports true when they fit now and no
+// earlier request is queued. Otherwise it queues m and reports false;
+// once a release makes room, the bytes are reserved on m's behalf and m
+// is posted on env at the current instant. Requests queue FIFO, so a
+// large request is not starved by a stream of small ones. Panics if
+// bytes exceeds capacity outright (it could never succeed).
+func (a *Arena) WaitReserve(env *sim.Env, m sim.Message, bytes int64) bool {
 	if bytes < 0 {
 		panic("memory: negative reservation")
 	}
@@ -146,11 +150,11 @@ func (a *Arena) WaitReserve(p *sim.Proc, bytes int64) {
 		if a.reserved > a.peak {
 			a.peak = a.reserved
 		}
-		return
+		return true
 	}
-	a.waiters = append(a.waiters, waiter{proc: p, bytes: bytes})
-	p.Park()
+	a.waiters = append(a.waiters, waiter{env: env, m: m, bytes: bytes})
+	return false
 }
 
-// Waiting reports how many processes are queued for capacity.
+// Waiting reports how many waiters are queued for capacity.
 func (a *Arena) Waiting() int { return len(a.waiters) }

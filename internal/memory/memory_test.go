@@ -56,6 +56,14 @@ func TestReleaseTooMuchPanics(t *testing.T) {
 	a.Release(6)
 }
 
+// waitReserve reserves bytes for process p, parking until the arena
+// posts it when they do not fit yet.
+func waitReserve(a *Arena, p *sim.Proc, bytes int64) {
+	if !a.WaitReserve(p.Env(), p, bytes) {
+		p.Park()
+	}
+}
+
 func TestWaitReserveBlocksUntilFree(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArena("gpu", 100)
@@ -64,7 +72,7 @@ func TestWaitReserveBlocksUntilFree(t *testing.T) {
 	}
 	var acquiredAt sim.Time
 	env.Go("waiter", func(p *sim.Proc) {
-		a.WaitReserve(p, 50)
+		waitReserve(a, p, 50)
 		acquiredAt = p.Now()
 		a.Release(50)
 	})
@@ -92,13 +100,13 @@ func TestWaitReserveFIFONoStarvation(t *testing.T) {
 	var order []string
 	env.Go("big", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		a.WaitReserve(p, 80)
+		waitReserve(a, p, 80)
 		order = append(order, "big")
 		a.Release(80)
 	})
 	env.Go("small", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		a.WaitReserve(p, 5)
+		waitReserve(a, p, 5)
 		order = append(order, "small")
 		a.Release(5)
 	})
@@ -117,7 +125,9 @@ func TestWaitReserveImmediateWhenFits(t *testing.T) {
 	a := NewArena("gpu", 100)
 	var at sim.Time
 	env.Go("p", func(p *sim.Proc) {
-		a.WaitReserve(p, 100)
+		if !a.WaitReserve(env, p, 100) {
+			t.Error("fitting WaitReserve queued instead of reserving")
+		}
 		at = p.Now()
 		a.Release(100)
 	})
@@ -137,7 +147,7 @@ func TestWaitReserveImpossiblePanics(t *testing.T) {
 				recovered = true
 			}
 		}()
-		a.WaitReserve(p, 11)
+		waitReserve(a, p, 11)
 	})
 	env.Run()
 	if !recovered {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/memory"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // Status describes an expert's state within one pool.
@@ -59,9 +60,9 @@ type Entry struct {
 	ready *sim.Event
 }
 
-// Pool is the set of experts resident in one executor's memory. Pools
-// are single-owner: exactly one executor process mutates a pool, so no
-// locking is needed inside the simulation.
+// Pool is the set of experts resident in one executor's memory. The
+// simulation kernel runs one handler at a time, so no locking is needed
+// even when executors share a pool.
 type Pool struct {
 	name   string
 	arena  *memory.Arena
@@ -209,30 +210,44 @@ func (p *Pool) Preload(e *coe.Expert) bool {
 	return true
 }
 
-// Acquire makes the expert resident and pins it, evicting and loading as
-// needed on behalf of the executor process. It reports whether this call
-// performed an expert switch. A pool may be shared by several executors
-// (the Samba-CoE Parallel arrangement): a concurrent acquirer of an
-// expert whose load is in flight waits for that load instead of starting
-// another. Acquire panics if eviction cannot free enough memory (the
-// configuration validator guarantees pool capacity exceeds the largest
-// expert plus one pinned expert per sharer).
-func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
-	for {
-		entry, ok := p.entries[e.ID]
-		if !ok {
-			break // absent: load it below
-		}
-		if entry.Status == Loaded {
-			entry.Pins++
-			entry.LastUse = p.now()
-			return false
-		}
-		// A sharer is loading it: wait, then re-check (the entry may
-		// have been evicted again before we got a pin on it).
-		entry.ready.Wait(proc)
+// TryPin pins the expert for an executor's batch group if it is Loaded
+// and reports whether it did. A pool may be shared by several executors
+// (the Samba-CoE Parallel arrangement): when a sharer's load of the
+// expert is in flight, loading is that load's ready event — the caller
+// waits on it instead of starting another load, then calls TryPin again,
+// since the entry may be evicted before the waiter runs. When the expert
+// is absent, loading is nil and the caller switches it in with
+// StartLoad.
+func (p *Pool) TryPin(e *coe.Expert) (pinned bool, loading *sim.Event) {
+	entry, ok := p.entries[e.ID]
+	if !ok {
+		return false, nil
 	}
+	if entry.Status == Loaded {
+		entry.Pins++
+		entry.LastUse = p.now()
+		return true, nil
+	}
+	return false, entry.ready
+}
 
+// Load is an expert switch in flight: StartLoad begins it, the caller
+// holds each of Transfer's legs in turn, and FinishLoad completes it.
+type Load struct {
+	entry *Entry
+	src   source
+	start sim.Time
+	// Transfer is the fetch into the pool's tier.
+	Transfer xfer.Transfer
+}
+
+// StartLoad begins switching an absent expert in on behalf of an
+// executor: it evicts as needed, inserts the expert Loading and pinned,
+// and plans its fetch from the host cache or SSD. It panics if eviction
+// cannot free enough memory (the configuration validator guarantees
+// pool capacity exceeds the largest expert plus one pinned expert per
+// sharer).
+func (p *Pool) StartLoad(e *coe.Expert) Load {
 	bytes := e.WeightBytes()
 	if need := bytes - p.arena.Free(); need > 0 {
 		p.evict(need)
@@ -247,15 +262,24 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		Status:  Loading,
 		LoadSeq: p.seq,
 		Pins:    1,
-		ready:   sim.NewEvent(proc.Env()),
+		ready:   sim.NewEvent(p.store.env),
 	}
 	p.entries[e.ID] = entry
 	p.holds[e.ID]++
+	src, t := p.store.fetch(e, p.tier)
+	return Load{entry: entry, src: src, start: p.now(), Transfer: t}
+}
 
-	src, d := p.store.Fetch(proc, e, p.tier)
+// FinishLoad completes a switch whose transfer legs have all been held:
+// the expert becomes Loaded (still pinned by the loader) and sharers
+// waiting on the load are released.
+func (p *Pool) FinishLoad(l *Load) {
+	p.store.engine.Finish(&l.Transfer)
+	d := p.now().Sub(l.start)
+	e := l.entry.Expert
 	p.loadTime += d
 	srcName := "ssd"
-	if src == srcHost {
+	if l.src == srcHost {
 		p.hostHits++
 		srcName = "host"
 	} else {
@@ -266,10 +290,9 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		p.Observer(e, srcName, d)
 	}
 
-	entry.Status = Loaded
-	entry.LastUse = p.now()
-	entry.ready.Fire()
-	return true
+	l.entry.Status = Loaded
+	l.entry.LastUse = p.now()
+	l.entry.ready.Fire()
 }
 
 // Release unpins the expert after a batch group finishes.

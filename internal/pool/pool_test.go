@@ -48,6 +48,33 @@ func newPool(env *sim.Env, store *Store, m *coe.Model, capacity int64, pol Polic
 
 const rn101 = 178_196_640 // ResNet101 weight bytes
 
+// acquire pins e in pool p for process proc, switching it in when it is
+// absent — an executor's pin-and-load sequence driven from a process —
+// and reports whether it switched.
+func acquire(proc *sim.Proc, p *Pool, e *coe.Expert) bool {
+	for {
+		pinned, loading := p.TryPin(e)
+		if pinned {
+			return false
+		}
+		if loading == nil {
+			break
+		}
+		loading.Wait(proc)
+		proc.Park()
+	}
+	l := p.StartLoad(e)
+	for _, leg := range l.Transfer.Legs() {
+		for !leg.Res.Acquire(proc) {
+			proc.Park()
+		}
+		proc.Sleep(leg.Hold)
+		leg.Res.Release(proc)
+	}
+	p.FinishLoad(&l)
+	return true
+}
+
 func TestPreload(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
 	p := newPool(env, store, m, 2*rn101+rn101/2, LRU{})
@@ -71,7 +98,7 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 	p.Preload(m.Expert(0))
 	var switched bool
 	env.Go("x", func(proc *sim.Proc) {
-		switched = p.Acquire(proc, m.Expert(0))
+		switched = acquire(proc, p, m.Expert(0))
 		p.Release(0)
 	})
 	end := env.Run()
@@ -91,7 +118,7 @@ func TestAcquireMissLoadsFromSSD(t *testing.T) {
 	p := newPool(env, store, m, 4*rn101, LRU{})
 	var switched bool
 	env.Go("x", func(proc *sim.Proc) {
-		switched = p.Acquire(proc, m.Expert(0))
+		switched = acquire(proc, p, m.Expert(0))
 		p.Release(0)
 	})
 	end := env.Run()
@@ -116,7 +143,7 @@ func TestAcquireEvictsWhenFull(t *testing.T) {
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(2))
+		acquire(proc, p, m.Expert(2))
 		p.Release(2)
 	})
 	env.Run()
@@ -138,13 +165,13 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
 		// Touch 0 later than 1: 1 becomes the LRU victim.
-		p.Acquire(proc, m.Expert(1))
+		acquire(proc, p, m.Expert(1))
 		p.Release(1)
 		proc.Sleep(time.Second)
-		p.Acquire(proc, m.Expert(0))
+		acquire(proc, p, m.Expert(0))
 		p.Release(0)
 		proc.Sleep(time.Second)
-		p.Acquire(proc, m.Expert(2))
+		acquire(proc, p, m.Expert(2))
 		p.Release(2)
 	})
 	env.Run()
@@ -163,9 +190,9 @@ func TestFIFOEvictsOldestLoad(t *testing.T) {
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
 		// Recent touch must NOT save expert 0 under FIFO.
-		p.Acquire(proc, m.Expert(0))
+		acquire(proc, p, m.Expert(0))
 		p.Release(0)
-		p.Acquire(proc, m.Expert(2))
+		acquire(proc, p, m.Expert(2))
 		p.Release(2)
 	})
 	env.Run()
@@ -194,7 +221,7 @@ func TestDepAwareStage1EvictsOrphanedSubsequent(t *testing.T) {
 	p.Preload(cls3)
 	p.Preload(det) // orphaned: cls0/cls1 not resident
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0))
+		acquire(proc, p, m.Expert(0))
 		p.Release(0)
 	})
 	env.Run()
@@ -221,7 +248,7 @@ func TestDepAwareDetectorWithResidentPreliminarySurvives(t *testing.T) {
 	p.Preload(cls2)
 	p.Preload(det)
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(3))
+		acquire(proc, p, m.Expert(3))
 		p.Release(3)
 	})
 	env.Run()
@@ -241,8 +268,8 @@ func TestPinnedExpertsNeverEvicted(t *testing.T) {
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0)) // pin 0; LRU would otherwise pick it
-		p.Acquire(proc, m.Expert(2)) // must evict 1, not pinned 0
+		acquire(proc, p, m.Expert(0)) // pin 0; LRU would otherwise pick it
+		acquire(proc, p, m.Expert(2)) // must evict 1, not pinned 0
 		p.Release(2)
 		p.Release(0)
 	})
@@ -270,7 +297,7 @@ func TestResetStats(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, m, 4*rn101, LRU{})
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0))
+		acquire(proc, p, m.Expert(0))
 		p.Release(0)
 	})
 	env.Run()
@@ -293,7 +320,7 @@ func TestStoreCacheHitIsFastAndExclusive(t *testing.T) {
 	}
 	p := newPool(env, store, m, 4*rn101, LRU{})
 	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, e)
+		acquire(proc, p, e)
 		p.Release(e.ID)
 	})
 	end := env.Run()
@@ -393,7 +420,7 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 			env.Go("driver", func(proc *sim.Proc) {
 				for i := 0; i < 200; i++ {
 					e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
-					p.Acquire(proc, e)
+					acquire(proc, p, e)
 					if p.FreeBytes() < 0 {
 						t.Error("negative free bytes")
 					}

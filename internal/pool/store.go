@@ -24,6 +24,7 @@ const (
 // The cache is exclusive: fetching an expert moves it out, and demotion
 // moves it back in.
 type Store struct {
+	env    *sim.Env
 	dev    *hw.Device
 	engine *xfer.Engine
 	cache  *hostCache
@@ -33,7 +34,7 @@ type Store struct {
 // cache capacity; pass 0 for no cache (UMA devices load experts straight
 // from SSD, §5.1).
 func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64) *Store {
-	s := &Store{dev: dev, engine: xfer.NewEngine(env, dev)}
+	s := &Store{env: env, dev: dev, engine: xfer.NewEngine(env, dev)}
 	if cacheBytes > 0 {
 		s.cache = newHostCache(cacheBytes)
 	}
@@ -67,16 +68,16 @@ func (s *Store) CacheLen() int {
 	return len(s.cache.entries)
 }
 
-// Fetch brings the expert's weights into the destination tier on behalf
-// of the executor process, blocking on the physical transfer resources.
-// It serves from the host cache when possible (removing the cached copy
-// — the tiers swap, they do not replicate) and from SSD otherwise.
-func (s *Store) Fetch(proc *sim.Proc, e *coe.Expert, dst memory.Tier) (src source, elapsed time.Duration) {
+// fetch plans bringing the expert's weights into the destination tier
+// over the physical transfer resources. It serves from the host cache
+// when possible (removing the cached copy — the tiers swap, they do not
+// replicate) and from SSD otherwise.
+func (s *Store) fetch(e *coe.Expert, dst memory.Tier) (source, xfer.Transfer) {
 	bytes := e.WeightBytes()
 	if s.cache != nil && s.cache.take(e.ID) {
-		return srcHost, s.engine.Load(proc, xfer.FromHost, dst, bytes)
+		return srcHost, s.engine.Plan(xfer.FromHost, dst, bytes)
 	}
-	return srcSSD, s.engine.Load(proc, xfer.FromSSD, dst, bytes)
+	return srcSSD, s.engine.Plan(xfer.FromSSD, dst, bytes)
 }
 
 // PredictLoad reports the expected uncontended switch latency for the

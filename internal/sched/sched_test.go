@@ -379,6 +379,7 @@ func TestGatesNotifyOnEnqueue(t *testing.T) {
 	var woke bool
 	env.Go("exec", func(p *sim.Proc) {
 		q.Gate().Wait(p)
+		p.Park()
 		woke = true
 	})
 	env.Go("ctrl", func(p *sim.Proc) {

@@ -1,13 +1,13 @@
 package sim
 
-// Event is a one-shot broadcast signal. Processes block on Wait until
-// some other process (or callback) calls Fire; waiters are released in
-// the order they arrived. Waiting on an already-fired event returns
-// immediately, so Event is safe for completion notifications.
+// Event is a one-shot broadcast signal. Waiters queue until some
+// handler calls Fire, which posts them in the order they arrived. A
+// waiter queued on an already-fired event is posted at once, so Event
+// is safe for completion notifications.
 type Event struct {
 	env     *Env
 	fired   bool
-	waiters []*Proc
+	waiters []Message
 }
 
 // NewEvent returns an unfired event bound to env.
@@ -18,42 +18,39 @@ func NewEvent(env *Env) *Event {
 // Fired reports whether Fire has been called.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Fire marks the event fired and wakes all current waiters in FIFO
-// order. Firing twice is a no-op.
+// Fire marks the event fired and posts every current waiter at the
+// current instant, in FIFO order. Firing twice is a no-op.
 func (ev *Event) Fire() {
 	if ev.fired {
 		return
 	}
 	ev.fired = true
-	for _, p := range ev.waiters {
-		p.unpark()
+	for _, m := range ev.waiters {
+		ev.env.PostMsg(ev.env.now, m)
 	}
 	ev.waiters = nil
 }
 
-// Wait blocks p until the event fires. Returns immediately if it already
-// has.
-func (ev *Event) Wait(p *Proc) {
-	if ev.env != p.env {
-		panic("sim: Wait across environments")
-	}
+// Wait queues m to be delivered when the event fires, or posts it at
+// the current instant if it already has.
+func (ev *Event) Wait(m Message) {
 	if ev.fired {
+		ev.env.PostMsg(ev.env.now, m)
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
-	p.park()
+	ev.waiters = append(ev.waiters, m)
 }
 
-// Gate is a reusable wake-up signal: Notify releases everyone currently
-// waiting, and later waiters block until the next Notify. It is the
+// Gate is a reusable wake-up signal: Notify releases every current
+// waiter, and later waiters queue until the next Notify. It is the
 // building block for producer/consumer queues (an executor waits on its
 // queue's gate; the controller notifies after enqueueing work).
 type Gate struct {
 	env     *Env
-	waiters []*Proc
+	waiters []Message
 	// spare is the previous waiter buffer, swapped back in on Notify so
 	// the notify-wait cycle reuses capacity instead of reallocating.
-	spare []*Proc
+	spare []Message
 }
 
 // NewGate returns a gate bound to env.
@@ -61,26 +58,22 @@ func NewGate(env *Env) *Gate {
 	return &Gate{env: env}
 }
 
-// Notify wakes all processes currently blocked in Wait, in FIFO order.
-// Processes that call Wait after Notify block until the next Notify.
+// Notify posts every current waiter at the current instant, in FIFO
+// order. Waiters queued after Notify wait for the next Notify.
 func (g *Gate) Notify() {
 	waiters := g.waiters
 	g.waiters = g.spare[:0]
-	for i, p := range waiters {
-		p.unpark()
+	for i, m := range waiters {
+		g.env.PostMsg(g.env.now, m)
 		waiters[i] = nil
 	}
 	g.spare = waiters[:0]
 }
 
-// Wait blocks p until the next Notify.
-func (g *Gate) Wait(p *Proc) {
-	if g.env != p.env {
-		panic("sim: Wait across environments")
-	}
-	g.waiters = append(g.waiters, p)
-	p.park()
+// Wait queues m to be delivered at the next Notify.
+func (g *Gate) Wait(m Message) {
+	g.waiters = append(g.waiters, m)
 }
 
-// Waiting reports how many processes are blocked on the gate.
+// Waiting reports how many waiters are queued on the gate.
 func (g *Gate) Waiting() int { return len(g.waiters) }

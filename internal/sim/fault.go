@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -105,7 +106,7 @@ func (p *FaultPlan) sortEvents() {
 // crash (Up or Draining → Down), drain (Up → Draining), or recover
 // (Down or Draining → Up, or clearing a gray degradation from an Up
 // node). Gray kinds apply to any node that is not Down: slow and jitter
-// need Factor > 1 and mark the node degraded until a recover, a
+// need a finite Factor > 1 and mark the node degraded until a recover, a
 // replacement gray event, or a crash; stall needs For > 0 and is
 // self-clearing.
 func (p *FaultPlan) Validate(nodes int) error {
@@ -150,8 +151,8 @@ func (p *FaultPlan) Validate(nodes int) error {
 			if s == down {
 				return fmt.Errorf("sim: fault plan event %d applies %s to node %d which is down", i, ev.Kind, ev.Node)
 			}
-			if ev.Factor <= 1 {
-				return fmt.Errorf("sim: fault plan event %d (%s node %d) needs Factor > 1, got %g", i, ev.Kind, ev.Node, ev.Factor)
+			if !(ev.Factor > 1) || math.IsInf(ev.Factor, 1) {
+				return fmt.Errorf("sim: fault plan event %d (%s node %d) needs a finite Factor > 1, got %g", i, ev.Kind, ev.Node, ev.Factor)
 			}
 			degraded[ev.Node] = true
 		case FaultStall:

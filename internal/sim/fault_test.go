@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -169,6 +170,12 @@ func TestFaultPlanValidateGrayKinds(t *testing.T) {
 			{At: 1, Node: 0, Kind: FaultSlow, Factor: 1}}}, "Factor > 1"},
 		{"jitter factor 0", FaultPlan{Events: []FaultEvent{
 			{At: 1, Node: 0, Kind: FaultJitter}}}, "Factor > 1"},
+		{"slow factor +Inf", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: math.Inf(1)}}}, "finite Factor > 1"},
+		{"slow factor NaN", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: math.NaN()}}}, "finite Factor > 1"},
+		{"jitter factor -Inf", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultJitter, Factor: math.Inf(-1)}}}, "finite Factor > 1"},
 		{"stall without window", FaultPlan{Events: []FaultEvent{
 			{At: 1, Node: 0, Kind: FaultStall}}}, "For > 0"},
 		{"slow on crashed node", FaultPlan{Events: []FaultEvent{

@@ -1,26 +1,31 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// holder records one process's claim on a resource unit and when it took
+// holder records one owner's claim on a resource unit and when it took
 // it. Holders live in a small slice instead of a map: capacities are tiny
 // (usually 1), so a linear scan beats hashing on the acquire/release hot
 // path and allocates nothing in steady state.
 type holder struct {
-	p     *Proc
+	owner Message
 	since Time
 }
 
 // Resource models a unit of physical capacity — a GPU compute engine, a
-// PCIe bus, an SSD controller — that at most cap processes may hold
-// simultaneously. Contending processes queue in FIFO order, which keeps
-// simulations deterministic.
+// PCIe bus, an SSD controller — that at most cap owners may hold
+// simultaneously. An owner is the Message that acquires: it is the key
+// its claim is released by, and the waiter posted when a unit frees.
+// Contending owners queue in FIFO order, which keeps simulations
+// deterministic.
 type Resource struct {
 	env     *Env
 	name    string
 	cap     int
 	holders []holder
-	waiters []*Proc
+	waiters []Message
 
 	// accounting
 	busy time.Duration // cumulative held time x units
@@ -48,49 +53,50 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return len(r.holders) }
 
-// QueueLen reports the number of processes waiting to acquire.
+// QueueLen reports the number of owners waiting to acquire.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// holderIndex returns the index of p's claim, or -1.
-func (r *Resource) holderIndex(p *Proc) int {
+// holderIndex returns the index of owner's claim, or -1.
+func (r *Resource) holderIndex(owner Message) int {
 	for i := range r.holders {
-		if r.holders[i].p == p {
+		if r.holders[i].owner == owner {
 			return i
 		}
 	}
 	return -1
 }
 
-// Acquire blocks p until a unit is free, then takes it. A process must
-// not acquire the same resource twice without releasing.
-func (r *Resource) Acquire(p *Proc) {
-	if p.env != r.env {
-		panic("sim: Acquire across environments")
+// Acquire takes a unit for owner and reports true if one is free.
+// Otherwise it queues owner, reports false, and posts owner at the
+// current instant once a release frees a unit; the woken owner must
+// call Acquire again, because the unit is not reserved for it. An owner
+// must not acquire the same resource twice without releasing.
+func (r *Resource) Acquire(owner Message) bool {
+	if r.holderIndex(owner) >= 0 {
+		panic(fmt.Sprintf("sim: %v re-acquired resource %s", owner, r.name))
 	}
-	if r.holderIndex(p) >= 0 {
-		panic("sim: " + p.name + " re-acquired resource " + r.name)
+	if r.TryAcquire(owner) {
+		return true
 	}
-	for len(r.holders) >= r.cap {
-		r.waiters = append(r.waiters, p)
-		p.park()
-	}
-	r.holders = append(r.holders, holder{p: p, since: r.env.now})
+	r.waiters = append(r.waiters, owner)
+	return false
 }
 
-// TryAcquire takes a unit if one is free and reports whether it did.
-func (r *Resource) TryAcquire(p *Proc) bool {
+// TryAcquire takes a unit for owner if one is free and reports whether
+// it did, without queueing.
+func (r *Resource) TryAcquire(owner Message) bool {
 	if len(r.holders) >= r.cap {
 		return false
 	}
-	r.holders = append(r.holders, holder{p: p, since: r.env.now})
+	r.holders = append(r.holders, holder{owner: owner, since: r.env.now})
 	return true
 }
 
-// Release returns p's unit and wakes the first waiter, if any.
-func (r *Resource) Release(p *Proc) {
-	i := r.holderIndex(p)
+// Release returns owner's unit and posts the first waiter, if any.
+func (r *Resource) Release(owner Message) {
+	i := r.holderIndex(owner)
 	if i < 0 {
-		panic("sim: " + p.name + " released resource " + r.name + " it does not hold")
+		panic(fmt.Sprintf("sim: %v released resource %s it does not hold", owner, r.name))
 	}
 	r.busy += r.env.now.Sub(r.holders[i].since)
 	last := len(r.holders) - 1
@@ -105,17 +111,8 @@ func (r *Resource) Release(p *Proc) {
 		copy(r.waiters, r.waiters[1:])
 		r.waiters[len(r.waiters)-1] = nil
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		next.unpark()
+		r.env.PostMsg(r.env.now, next)
 	}
-}
-
-// Use acquires the resource, holds it for duration d of virtual time, and
-// releases it. It is the common pattern for modeling an operation that
-// occupies a physical unit.
-func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release(p)
 }
 
 // BusyTime reports the cumulative virtual time units of the resource

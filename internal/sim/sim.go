@@ -1,25 +1,33 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes — ordinary Go functions running in
-// goroutines — against a virtual clock. Exactly one process runs at a
-// time; control is handed back to the kernel whenever a process blocks in
-// Sleep, Wait, or Acquire. Events with equal timestamps fire in the order
-// they were scheduled, so a simulation is fully deterministic given
-// deterministic process code.
+// The kernel drives actions against a virtual clock. Events with equal
+// timestamps fire in the order they were scheduled, so a simulation is
+// fully deterministic given deterministic handler code. An event is one
+// of two kinds, and both run inline on the kernel goroutine:
 //
-// The design follows the classic process-interaction style (as in SimPy):
-// CoServe's executors, transfer buses, and controllers are written as
-// straight-line Go code that sleeps for modeled durations and contends on
-// Resources that model physical units (a GPU, a PCIe bus, an SSD).
+//   - a callback (After, AfterFunc);
+//   - a typed Message (PostMsg), whose Deliver method runs at the
+//     scheduled instant. A message allocates no closure, and the sender
+//     may pool its payloads.
+//
+// The serving hot path runs on these alone. CoServe's executors and
+// arrival loops are state machines that the kernel resumes as Messages
+// or callbacks, and the blocking primitives — Gate, Event, Resource, and
+// memory arenas — queue Message waiters and post them at the current
+// instant when they may proceed. Nothing on the per-request path hands
+// control to another goroutine.
+//
+// Processes (Go) are the straight-line alternative, in the style of
+// SimPy, for cold paths such as fault plans, autoscalers and one-off
+// probes: a Proc is a goroutine that runs under the kernel's control and
+// blocks in Sleep or Park. A Proc is itself a Message — delivering it
+// resumes the process — so a process waits on any primitive by queueing
+// itself as the waiter and parking. Each resume is a goroutine handoff,
+// which is why the hot path avoids them.
 //
 // The event loop is the hottest path of every experiment, so it is kept
 // allocation-lean: fired events are recycled on a per-environment free
-// list, and the dominant event kinds — Sleep timeouts and unpark wake-ups
-// — carry the *Proc to resume directly on the event instead of allocating
-// a capturing closure. Pure-callback events (After, AfterFunc) take the
-// other dispatch path and run inline on the kernel goroutine with no
-// process handoff at all, and typed Messages (PostMsg) run inline too
-// without even a closure, so a protocol can pool its payloads.
+// list.
 package sim
 
 import (
@@ -56,19 +64,16 @@ type Message interface {
 	Deliver(at Time)
 }
 
-// event is a scheduled kernel action. Exactly one of fn, proc, and msg
-// is set: fn is the callback fast path, run inline on the kernel
-// goroutine; proc is the wake path, resuming a parked process; msg is
-// the typed-message path (PostMsg) — like proc it allocates no closure,
-// and the payload itself is poolable by the sender. Events are pooled
-// on the environment's free list, so no field may be read after
-// release.
+// event is a scheduled kernel action. Exactly one of fn and msg is set:
+// fn is the callback path; msg is the typed-message path (PostMsg, and
+// process wake-ups, since a Proc is a Message), which allocates no
+// closure. Events are pooled on the environment's free list, so no
+// field may be read after release.
 type event struct {
 	at    Time
 	seq   int64
 	fn    func()  // callback path (After, AfterFunc, process start)
-	proc  *Proc   // wake path (Sleep, Unpark) — no closure allocated
-	msg   Message // typed payload (PostMsg) — no closure allocated
+	msg   Message // typed payload (PostMsg, Sleep) — no closure allocated
 	index int     // heap index; -1 once removed from the heap
 	next  *event  // free-list link
 }
@@ -160,7 +165,7 @@ func (e *Env) newEvent(at Time) *event {
 // releaseEvent returns a fired or cancelled event to the free list. The
 // sequence number is cleared so stale Timer handles cannot match it.
 func (e *Env) releaseEvent(ev *event) {
-	ev.fn, ev.proc, ev.msg = nil, nil, nil
+	ev.fn, ev.msg = nil, nil
 	ev.seq = 0
 	ev.index = -1
 	ev.next = e.free
@@ -180,14 +185,6 @@ func (e *Env) schedule(at Time, fn func()) *event {
 // steady state.
 func (e *Env) PostMsg(at Time, m Message) {
 	e.newEvent(at).msg = m
-}
-
-// scheduleWake enqueues a closure-free wake-up of p at time at — the
-// timer path behind Sleep and Unpark.
-func (e *Env) scheduleWake(at Time, p *Proc) *event {
-	ev := e.newEvent(at)
-	ev.proc = p
-	return ev
 }
 
 // After schedules fn to run after duration d. It is the callback-style
@@ -245,17 +242,11 @@ func (e *Env) popEvent() *event {
 	return heap.Pop(&e.events).(*event)
 }
 
-// dispatch fires one popped event: wake events resume their process,
-// message events deliver their typed payload, and callback events run
-// inline with no goroutine handoff. The event is recycled before firing
-// so the handler can immediately reuse it.
+// dispatch fires one popped event: message events deliver their typed
+// payload and callback events run inline. The event is recycled before
+// firing so the handler can immediately reuse it.
 func (e *Env) dispatch(ev *event) {
 	e.now = ev.at
-	if p := ev.proc; p != nil {
-		e.releaseEvent(ev)
-		e.wake(p)
-		return
-	}
 	if m := ev.msg; m != nil {
 		at := ev.at
 		e.releaseEvent(ev)
@@ -317,13 +308,12 @@ func (e *Env) drain() {
 // Terminated reports whether the environment has finished draining.
 func (e *Env) Terminated() bool { return e.terminated }
 
-// Reopen re-arms a drained environment for another round of processes:
-// the virtual clock keeps its value, and Go and the blocking operations
-// work again. It is the warm-restart hook for serving layers that run
-// consecutive streams on one simulated system. Callers are responsible
-// for having left no process parked on a Gate, Event, or Resource when
-// the previous Run drained — a stale waiter from a killed process would
-// corrupt the next round.
+// Reopen re-arms a drained environment for another round: the virtual
+// clock keeps its value, and Go works again. It is the warm-restart hook
+// for serving layers that run consecutive streams on one simulated
+// system. Callers are responsible for having left no waiter on a Gate,
+// Event, or Resource when the previous Run drained — a stale waiter
+// would be posted, and run, in the next round.
 func (e *Env) Reopen() {
 	if e.running {
 		panic("sim: Reopen while running")
@@ -354,6 +344,9 @@ type Proc struct {
 
 // Name reports the process name given to Go.
 func (p *Proc) Name() string { return p.name }
+
+// String reports the process name, so panics naming an owner read well.
+func (p *Proc) String() string { return p.name }
 
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
@@ -445,20 +438,20 @@ func (p *Proc) park() {
 	}
 }
 
-// unpark schedules p to resume at the current virtual time.
-func (p *Proc) unpark() {
-	p.env.removeParked(p)
-	p.env.scheduleWake(p.env.now, p)
-}
+// Deliver resumes the parked process: it makes a Proc a Message, so a
+// process waits on any primitive that queues Message waiters by
+// queueing itself and calling Park. Delivering a process that is not
+// parked corrupts the kernel state.
+func (p *Proc) Deliver(Time) { p.env.wake(p) }
 
 // Sleep blocks the process for virtual duration d. The wake-up is a
-// pooled, closure-free timer event: steady-state sleeping allocates
+// pooled, closure-free message event: steady-state sleeping allocates
 // nothing.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.env.scheduleWake(p.env.now.Add(d), p)
+	p.env.PostMsg(p.env.now.Add(d), p)
 	p.park()
 }
 
@@ -466,12 +459,6 @@ func (p *Proc) Sleep(d time.Duration) {
 // run before p continues. Equivalent to Sleep(0) but states intent.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Park blocks the process until some other component calls Unpark. It is
-// a building block for synchronization primitives defined outside this
-// package (for example, memory arenas with blocking reservations).
+// Park blocks the process until its Deliver runs: queue p as a waiter
+// (Gate.Wait, Resource.Acquire, ...) or post it, then Park.
 func (p *Proc) Park() { p.park() }
-
-// Unpark schedules a parked process to resume at the current virtual
-// time. Calling Unpark for a process that is not parked corrupts the
-// kernel state; callers must pair it with Park.
-func (p *Proc) Unpark() { p.unpark() }

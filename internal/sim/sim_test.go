@@ -9,6 +9,15 @@ import (
 	"time"
 )
 
+// acquire takes a unit of res for process p, parking while none is
+// free: a woken waiter competes again, exactly as the Message contract
+// asks.
+func acquire(res *Resource, p *Proc) {
+	for !res.Acquire(p) {
+		p.Park()
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	env := NewEnv()
 	if env.Now() != 0 {
@@ -113,6 +122,7 @@ func TestEventBroadcast(t *testing.T) {
 		name := name
 		env.Go(name, func(p *Proc) {
 			ev.Wait(p)
+			p.Park()
 			woke = append(woke, name)
 		})
 	}
@@ -137,6 +147,7 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	env.Go("late", func(p *Proc) {
 		p.Sleep(time.Second)
 		ev.Wait(p)
+		p.Park()
 		at = p.Now()
 	})
 	env.Run()
@@ -159,6 +170,7 @@ func TestGateReusable(t *testing.T) {
 	env.Go("waiter", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			g.Wait(p)
+			p.Park()
 			wakes++
 		}
 	})
@@ -180,7 +192,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 	var spans [][2]Time
 	for i := 0; i < 3; i++ {
 		env.Go("user", func(p *Proc) {
-			res.Acquire(p)
+			acquire(res, p)
 			start := p.Now()
 			p.Sleep(time.Second)
 			res.Release(p)
@@ -207,7 +219,9 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	var finished []Time
 	for i := 0; i < 4; i++ {
 		env.Go("user", func(p *Proc) {
-			res.Use(p, time.Second)
+			acquire(res, p)
+			p.Sleep(time.Second)
+			res.Release(p)
 			finished = append(finished, p.Now())
 		})
 	}
@@ -229,7 +243,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 		env.Go("u", func(p *Proc) {
 			// Stagger arrivals so the queue order is unambiguous.
 			p.Sleep(time.Duration(i) * time.Millisecond)
-			res.Acquire(p)
+			acquire(res, p)
 			order = append(order, i)
 			p.Sleep(time.Second)
 			res.Release(p)
@@ -283,6 +297,7 @@ func TestRunDrainsBlockedProcesses(t *testing.T) {
 	ev := NewEvent(env)
 	env.Go("stuck", func(p *Proc) {
 		ev.Wait(p) // never fired
+		p.Park()
 		t.Error("stuck process resumed normally")
 	})
 	env.Run()
@@ -392,7 +407,7 @@ func TestRandomResourceWorkloadConserves(t *testing.T) {
 			d := durs[i]
 			env.Go("w", func(p *Proc) {
 				p.Sleep(d / 2)
-				res.Acquire(p)
+				acquire(res, p)
 				if res.InUse() > maxInUse {
 					maxInUse = res.InUse()
 				}
@@ -663,5 +678,87 @@ func TestPostMsgSteadyStateAllocations(t *testing.T) {
 	round()
 	if allocs := testing.AllocsPerRun(3, round); allocs > 0 {
 		t.Errorf("1000 message hops allocated %.0f objects, want 0", allocs)
+	}
+}
+
+// waiterMsg is a Message waiter that logs its deliveries and then runs
+// an optional follow-up at the delivery instant.
+type waiterMsg struct {
+	name string
+	log  *[]string
+	then func()
+}
+
+func (w *waiterMsg) Deliver(at Time) {
+	*w.log = append(*w.log, fmt.Sprintf("%s@%v", w.name, at))
+	if w.then != nil {
+		w.then()
+	}
+}
+
+// TestGateAndEventPostWaitersInOrder: Notify and Fire post their
+// Message waiters at the current instant in FIFO order, behind events
+// already scheduled for that instant; a waiter queued on a fired Event
+// is posted at once.
+func TestGateAndEventPostWaitersInOrder(t *testing.T) {
+	env := NewEnv()
+	var log []string
+	g, ev := NewGate(env), NewEvent(env)
+	g.Wait(&waiterMsg{name: "g1", log: &log})
+	g.Wait(&waiterMsg{name: "g2", log: &log})
+	ev.Wait(&waiterMsg{name: "e1", log: &log})
+	env.After(time.Second, func() {
+		env.After(0, func() { log = append(log, "cb@1s") })
+		g.Notify()
+		ev.Fire()
+		ev.Wait(&waiterMsg{name: "late", log: &log})
+	})
+	env.Run()
+	want := []string{"cb@1s", "g1@1s", "g2@1s", "e1@1s", "late@1s"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("delivery order %v, want %v", log, want)
+	}
+	if g.Waiting() != 0 {
+		t.Errorf("gate still holds %d waiters", g.Waiting())
+	}
+}
+
+// TestResourceWokenWaiterReacquires: a release posts the head waiter
+// without reserving the unit for it, so an owner that takes the unit
+// before the waiter runs wins, and the woken waiter's Acquire queues it
+// again at the tail — exactly a blocked process's re-check loop.
+func TestResourceWokenWaiterReacquires(t *testing.T) {
+	env := NewEnv()
+	res := NewResource(env, "r", 1)
+	var log []string
+	a := &waiterMsg{name: "a", log: &log}
+	c := &waiterMsg{name: "c", log: &log}
+	b := &waiterMsg{name: "b", log: &log}
+	b.then = func() {
+		if res.Acquire(b) {
+			log = append(log, "b-holds")
+			res.Release(b)
+		}
+	}
+	if !res.Acquire(a) || res.Acquire(b) {
+		t.Fatal("a should hold the unit and b queue behind it")
+	}
+	env.After(time.Second, func() {
+		res.Release(a) // posts b
+		if !res.Acquire(c) {
+			t.Error("c could not take the unit b was woken for")
+		}
+		env.After(time.Second, func() { res.Release(c) })
+	})
+	env.Run()
+	want := []string{"b@1s", "b@2s", "b-holds"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log %v, want %v", log, want)
+	}
+	if res.InUse() != 0 || res.QueueLen() != 0 {
+		t.Errorf("in use %d, queued %d; want 0, 0", res.InUse(), res.QueueLen())
+	}
+	if res.BusyTime() != 2*time.Second {
+		t.Errorf("busy time %v, want 2s (a for 1s, c for 1s, b for 0s)", res.BusyTime())
 	}
 }

@@ -106,30 +106,54 @@ func NewEngine(env *sim.Env, dev *hw.Device) *Engine {
 // Device returns the engine's device profile.
 func (e *Engine) Device() *hw.Device { return e.dev }
 
-// Load performs a transfer of bytes from src to dst on behalf of the
-// simulation process, blocking on the physical resources involved. It
-// returns the total elapsed virtual time including queueing.
-func (e *Engine) Load(p *sim.Proc, src Source, dst memory.Tier, bytes int64) time.Duration {
-	start := p.Now()
+// Leg is one stage of a transfer: hold Res for Hold of virtual time.
+type Leg struct {
+	Res  *sim.Resource
+	Hold time.Duration
+}
+
+// Transfer is a planned transfer: its legs, held one after another by
+// the caller, and the bytes it moves. A transfer has at most two legs
+// (SSD read plus deserialization, then the host link).
+type Transfer struct {
+	legs  [2]Leg
+	n     int
+	bytes int64
+}
+
+// Legs returns the transfer's stages in the order they are held.
+func (t *Transfer) Legs() []Leg { return t.legs[:t.n] }
+
+// Plan stages a transfer of bytes from src to dst on the engine's
+// physical resources. The caller holds each leg in turn — acquire the
+// resource, hold it for the leg's duration, release it — and then calls
+// Finish; the elapsed virtual time, queueing included, is the
+// transfer's latency.
+func (e *Engine) Plan(src Source, dst memory.Tier, bytes int64) Transfer {
+	t := Transfer{n: 1, bytes: bytes}
 	switch src {
 	case FromSSD:
-		stage := e.dev.LoadFixed + bwDuration(bytes, e.dev.SSDReadBW) + bwDuration(bytes, e.dev.DeserBW)
-		e.loader.Use(p, stage)
+		t.legs[0] = Leg{e.loader, e.dev.LoadFixed + bwDuration(bytes, e.dev.SSDReadBW) + bwDuration(bytes, e.dev.DeserBW)}
 		if dst == memory.TierGPU {
-			e.hostLink.Use(p, bwDuration(bytes, hostLinkBW(e.dev)))
+			t.legs[1] = Leg{e.hostLink, bwDuration(bytes, hostLinkBW(e.dev))}
+			t.n = 2
 		}
 	case FromHost:
 		stage := e.dev.LoadFixed
 		if dst == memory.TierGPU {
 			stage += bwDuration(bytes, hostLinkBW(e.dev))
 		}
-		e.hostLink.Use(p, stage)
+		t.legs[0] = Leg{e.hostLink, stage}
 	default:
 		panic(fmt.Sprintf("xfer: unknown source %v", src))
 	}
+	return t
+}
+
+// Finish counts a transfer whose legs have all been held.
+func (e *Engine) Finish(t *Transfer) {
 	e.loads++
-	e.loadBytes += bytes
-	return p.Now().Sub(start)
+	e.loadBytes += t.bytes
 }
 
 // Loads reports the number of transfers executed.

@@ -61,6 +61,22 @@ func TestFigure1SwitchingShares(t *testing.T) {
 	}
 }
 
+// load drives a transfer from process p: each leg's resource is
+// acquired (parking while it is busy), held, and released in turn.
+func load(p *sim.Proc, eng *Engine, src Source, dst memory.Tier, bytes int64) time.Duration {
+	start := p.Now()
+	tr := eng.Plan(src, dst, bytes)
+	for _, leg := range tr.Legs() {
+		for !leg.Res.Acquire(p) {
+			p.Park()
+		}
+		p.Sleep(leg.Hold)
+		leg.Res.Release(p)
+	}
+	eng.Finish(&tr)
+	return p.Now().Sub(start)
+}
+
 func TestEngineMatchesModelWithoutContention(t *testing.T) {
 	env := sim.NewEnv()
 	d := hw.NUMADevice()
@@ -68,7 +84,7 @@ func TestEngineMatchesModelWithoutContention(t *testing.T) {
 	bytes := model.YOLOv5m.WeightBytes()
 	var got time.Duration
 	env.Go("loader", func(p *sim.Proc) {
-		got = eng.Load(p, FromSSD, memory.TierGPU, bytes)
+		got = load(p, eng, FromSSD, memory.TierGPU, bytes)
 	})
 	env.Run()
 	want := LoadLatency(d, FromSSD, memory.TierGPU, bytes)
@@ -91,7 +107,7 @@ func TestEngineLimitsConcurrentSSDLoads(t *testing.T) {
 	var finish []sim.Time
 	for i := 0; i < n; i++ {
 		env.Go("loader", func(p *sim.Proc) {
-			eng.Load(p, FromSSD, memory.TierCPU, bytes)
+			load(p, eng, FromSSD, memory.TierCPU, bytes)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -118,10 +134,10 @@ func TestEngineHostLoadsUseSeparateLink(t *testing.T) {
 	bytes := model.ResNet101.WeightBytes()
 	var hostDone sim.Time
 	env.Go("ssd", func(p *sim.Proc) {
-		eng.Load(p, FromSSD, memory.TierCPU, bytes) // loader stage only
+		load(p, eng, FromSSD, memory.TierCPU, bytes) // loader stage only
 	})
 	env.Go("host", func(p *sim.Proc) {
-		eng.Load(p, FromHost, memory.TierGPU, bytes)
+		load(p, eng, FromHost, memory.TierGPU, bytes)
 		hostDone = p.Now()
 	})
 	env.Run()
