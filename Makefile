@@ -53,24 +53,24 @@ race:
 # bench compiles and executes every benchmark exactly once (no test
 # functions), so the benchmark harness cannot rot, and pipes the output
 # through benchguard, which fails loudly if any benchmark baselined in
-# BENCH_fleet.json, BENCH_chaos.json, or BENCH_kernel.json regresses
-# past its recorded allocs/op or bytes/op. Wall time is advisory: an
-# ns_factor breach prints a WARN line but never fails the run.
+# BENCH_fleet.json, BENCH_chaos.json, BENCH_cluster.json, or
+# BENCH_kernel.json regresses past its recorded allocs/op or bytes/op.
+# Wall time is advisory: an ns_factor breach prints a WARN line but
+# never fails the run.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./... | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_kernel.json
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./... | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_cluster.json -baseline BENCH_kernel.json
 
 # bench-experiments reproduces the BENCH_experiments.json measurement:
 # the full experiment registry, sequential vs all cores.
 bench-experiments:
 	$(GO) test -bench BenchmarkAllExperiments -benchtime 3x -run '^$$' .
 
-# bench-cluster reproduces the BENCH_cluster.json measurement: the
-# multi-node serving path at 1 and 4 nodes (plus the bare-System
-# reference it is priced against). `make bench` (and the CI bench job)
-# already executes these once; this target is the recorded baseline's
-# regeneration recipe.
+# bench-cluster reproduces (and gates) the BENCH_cluster.json
+# measurement: the multi-node serving path at 1 and 4 nodes over a zero
+# hop. `make bench` (and the CI bench job) already executes these once;
+# this target is the recorded baseline's regeneration recipe.
 bench-cluster:
-	$(GO) test -bench 'BenchmarkClusterServe|BenchmarkPoissonServe$$' -benchtime 20x -run '^$$' .
+	$(GO) test -bench BenchmarkClusterServe -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_cluster.json
 
 # bench-fleet reproduces (and gates) the BENCH_fleet.json measurement:
 # the 100-node / 1M-request fleet hot path in sketch + arena mode. The

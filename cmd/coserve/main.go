@@ -338,7 +338,7 @@ func cmdServe(args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
 	clusterAdmit := fs.String("cluster-admit", "", "cluster-level admission policy in front of the router: accept, bounded, token, shed (same knobs as -admit; empty = admit everything)")
 	fleetScale := fs.Float64("fleet-autoscale", 0, "drain/resume cluster nodes to track the offered rate at this many req/s per node (0 = off; needs -window and -nodes >= 2)")
-	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and completion ack becomes a timed event one hop away (needs -nodes >= 2; empty = zero-latency synchronous offers)`)
+	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and completion ack lands one hop after it is sent (needs -nodes >= 2; empty = zero hops)`)
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")
 	if err := fs.Parse(args); err != nil {
@@ -679,7 +679,7 @@ func cmdServe(args []string) error {
 // parseInterconnect parses the -interconnect hop-model syntax:
 // dispatch/intra-board/inter-node one-way latencies with an optional
 // @board-size suffix, e.g. "200us/100us/600us@2". An empty spec returns
-// the zero model (interconnect disabled, synchronous offers). The
+// the zero model (zero hops: every offer and ack lands at once). The
 // cluster validates the assembled model (non-negative hops, a positive
 // hop to every node) when it is configured.
 func parseInterconnect(spec string) (coserve.Interconnect, error) {

@@ -343,10 +343,10 @@ type (
 	// (ClusterConfig.Hedge).
 	HedgeConfig = cluster.HedgeConfig
 	// Interconnect models per-hop front-end→node dispatch latency
-	// (ClusterConfig.Interconnect). Enabling it turns every offer and
-	// completion ack into a timed event one hop away on the cluster's
-	// single simulation environment; the zero value keeps offers
-	// synchronous.
+	// (ClusterConfig.Interconnect). Enabling it delays every offer and
+	// completion ack by one hop on the cluster's single simulation
+	// environment; the zero value charges zero hops, delivering each
+	// at the instant it is sent.
 	Interconnect = cluster.Interconnect
 	// NodeState is a node's lifecycle state (up, draining, down).
 	NodeState = core.NodeState

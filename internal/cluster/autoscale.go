@@ -155,7 +155,7 @@ func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
 		up++
 		resumed = true
 	}
-	if resumed && c.chaos != nil {
+	if resumed {
 		c.flushPending(now)
 	}
 }

@@ -10,15 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosState is the durable-delivery bookkeeping of one fault-injected
-// stream. The cluster front end is the lease holder: every admission
-// opens a lease (with a private copy of the request's expert chain —
-// the node may recycle the request object into its arena at any time
-// after a crash), completions resolve leases exactly once, and a crash
-// voids the dead node's leases so their requests can be redelivered to
-// surviving nodes. All of it exists only when a fault plan is
-// configured; fault-free streams carry a nil *chaosState and pay
-// nothing.
+// chaosState is the durable-delivery bookkeeping of one stream. The
+// cluster front end is the lease holder: every arrival it admits opens
+// a lease (with a private copy of the request's expert chain — once
+// offered, the request object belongs to the node, which recycles it
+// into its arena when it completes, is rejected, or is voided by a
+// crash), completions resolve leases exactly once, and a crash voids
+// the dead node's leases so their requests can be redelivered to
+// surviving nodes.
 type chaosState struct {
 	arena *coe.Arena // redelivered requests lease from here when set
 
@@ -26,8 +25,8 @@ type chaosState struct {
 	// each node's lease IDs in admission order, so a crash voids (and
 	// redelivers) them deterministically — never by map iteration, whose
 	// order would differ run to run. Entries in byNode go stale when a
-	// lease resolves; the crash walk skips IDs whose ledger entry is
-	// gone or has moved to another node.
+	// lease resolves or moves; the crash walk skips them, and track
+	// compacts them away before a node's list grows.
 	ledger map[int64]*lease
 	byNode [][]int64
 
@@ -37,9 +36,9 @@ type chaosState struct {
 	pendingPeak int
 
 	// freeLease heads the lease free list: resolved leases recycle here
-	// (chain capacity retained) so the interconnect hot path's per-request
-	// allocations stay at the request object and its chain, nothing
-	// else. Release is gated on aliasing: see resolveLease.
+	// (chain capacity retained, across streams too) so a lease costs no
+	// allocation in steady state. Release is gated on aliasing: see
+	// resolveLease.
 	freeLease *lease
 
 	srcClosed bool
@@ -47,16 +46,16 @@ type chaosState struct {
 	// Exactly-once accounting: at every fault boundary,
 	// arrivals == completions + terminalRejected + len(ledger) + len(pending)
 	//           + offersInFlight.
-	// The last term exists only with an interconnect: a primary or
-	// redelivery offer crossing the interconnect holds its request's
-	// accounting token until the fold lands it in one of the other
-	// buckets. hedgeOffers tracks in-flight hedge copies separately —
-	// duplicates carry no token but still gate stream close. bounced
-	// counts offers that found their node not Up and were re-routed.
+	// The last term is nonzero only over a nonzero hop: a delivery on
+	// the wire holds its request's accounting token until the fold
+	// lands it in one of the other buckets. hedgeOffers tracks
+	// in-flight hedge copies separately — duplicates carry no token but
+	// still gate stream close. bounced counts offers that found their
+	// node not Up and were re-routed.
 	arrivals         int64 // requests the source yielded
 	completions      int64 // lease-resolved completions (each request once)
 	terminalRejected int64 // requests rejected with no lease left open
-	offersInFlight   int64 // primary/redelivery offers on the wire
+	offersInFlight   int64 // deliveries on the wire
 	hedgeOffers      int64 // hedge offers on the wire
 	bounced          int64 // offers bounced off a not-Up node
 	violations       []string
@@ -137,8 +136,8 @@ type lease struct {
 	// Hedging state: the node holding the speculative second copy (-1
 	// while unhedged), the pending deadline timer, and how many times
 	// the deadline has re-armed after failed hedge attempts.
-	// hedgeInFlight marks a hedge offer on the wire (interconnect
-	// only) so the deadline cannot launch a second copy meanwhile.
+	// hedgeInFlight marks a hedge offer whose fold has not landed yet,
+	// so the deadline cannot launch a second copy meanwhile.
 	hedgeNode     int
 	hedgeInFlight bool
 	timer         sim.Timer
@@ -155,6 +154,44 @@ func newChaosState(nodes int, arena *coe.Arena) *chaosState {
 		byNode:  make([][]int64, nodes),
 		orphans: make(map[orphanKey]int),
 	}
+}
+
+// reset readies the state for a new stream: every counter and queue
+// empties, while the maps, the byNode lists, and the lease free list
+// keep their storage.
+func (cs *chaosState) reset() {
+	clear(cs.ledger)
+	clear(cs.orphans)
+	for i := range cs.byNode {
+		cs.byNode[i] = cs.byNode[i][:0]
+	}
+	*cs = chaosState{
+		arena:     cs.arena,
+		ledger:    cs.ledger,
+		byNode:    cs.byNode,
+		orphans:   cs.orphans,
+		freeLease: cs.freeLease,
+	}
+}
+
+// track appends lease id to node's crash-walk list. Before the list
+// grows it is compacted in order down to the entries a crash walk
+// would act on — a live lease whose primary or hedge copy is on the
+// node, or an orphan there — so the lists stay proportional to the
+// work in flight rather than to the stream.
+func (cs *chaosState) track(node int, id int64) {
+	ids := cs.byNode[node]
+	if len(ids) == cap(ids) {
+		keep := ids[:0]
+		for _, kept := range ids {
+			l := cs.ledger[kept]
+			if (l != nil && (l.node == node || l.hedgeNode == node)) || cs.orphans[orphanKey{kept, node}] > 0 {
+				keep = append(keep, kept)
+			}
+		}
+		ids = keep
+	}
+	cs.byNode[node] = append(ids, id)
 }
 
 // newLease draws a lease from the free list (chain capacity retained,
@@ -204,27 +241,10 @@ func (cs *chaosState) releaseIfResolved(l *lease) {
 	}
 }
 
-// open records a fresh admission: a new lease on the admitting node,
-// with the chain copied out of the live request.
-func (cs *chaosState) open(idx int, receipt core.Lease, tr workload.TimedRequest, now sim.Time) *lease {
-	l := cs.newLease()
-	l.id = tr.Req.ID
-	l.class = tr.Req.Class
-	l.tenant = tr.Tenant
-	l.chain = append(l.chain[:0], tr.Req.Chain...)
-	l.node = idx
-	l.hasArrival = true
-	l.arrival = receipt.Issued
-	l.hedgeNode = -1
-	cs.ledger[l.id] = l
-	cs.byNode[idx] = append(cs.byNode[idx], l.id)
-	return l
-}
-
-// park records an arrival that found no routable node: a lease with no
-// holder, queued for delivery on the next recovery. The caller recycles
-// the request object afterwards — the lease owns its own chain copy.
-func (cs *chaosState) park(tr workload.TimedRequest, now sim.Time) {
+// open starts a fresh arrival's lease, held by no node until its
+// first delivery is admitted, with the chain copied out of the request
+// before the request is offered.
+func (cs *chaosState) open(tr workload.TimedRequest, now sim.Time) *lease {
 	l := cs.newLease()
 	l.id = tr.Req.ID
 	l.class = tr.Req.Class
@@ -233,10 +253,14 @@ func (cs *chaosState) park(tr workload.TimedRequest, now sim.Time) {
 	l.node = -1
 	l.voidedAt = now
 	l.hedgeNode = -1
+	return l
+}
+
+// park queues a lease that found no routable node for delivery on the
+// next recovery.
+func (cs *chaosState) park(l *lease) {
 	cs.pending = append(cs.pending, l)
-	if len(cs.pending) > cs.pendingPeak {
-		cs.pendingPeak = len(cs.pending)
-	}
+	cs.pendingPeak = max(cs.pendingPeak, len(cs.pending))
 }
 
 // leaseRequest materializes a fresh request object for a lease — from
@@ -299,7 +323,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		for _, id := range cs.byNode[ev.Node] {
 			if k := (orphanKey{id, ev.Node}); cs.orphans[k] > 0 {
 				// This node holds orphaned copies — losers of hedge races,
-				// or (interconnect only) hedges admitted after their
+				// or (over a nonzero hop) hedges admitted after their
 				// lease resolved or was voided into a redelivery. They die
 				// here (the node's own drop accounting records them) and
 				// are no longer expected to surface as waste.
@@ -421,51 +445,14 @@ func jitterSeed(ev sim.FaultEvent) int64 {
 }
 
 // redeliverOne re-dispatches a voided (or parked) lease: it rebuilds
-// the request, routes it over the Up subset, and offers it. Reports
-// false when no node is routable — the lease stays with the caller for
-// the pending queue. A node-admission rejection is terminal: the
-// request is gone, counted once, never double-counted in the fleet
-// recorder (a lease that already counted as an arrival does not also
-// count as a rejection).
+// the request and offers it over the Up subset. Reports false when no
+// node is routable — the lease stays with the caller for the pending
+// queue. A node-admission rejection is terminal: the request is gone,
+// counted once, never double-counted in the fleet recorder (a lease
+// that already counted as an arrival does not also count as a
+// rejection).
 func (c *Cluster) redeliverOne(now sim.Time, l *lease) bool {
-	if c.latency != nil {
-		return c.shardRedeliver(now, l)
-	}
-	cs := c.chaos
-	r := cs.leaseRequest(l)
-	idx := c.pickNode(now, r)
-	if idx < 0 {
-		coe.Recycle(r)
-		return false
-	}
-	c.routed[idx]++
-	receipt, ok := c.nodes[idx].sys.Offer(now, workload.TimedRequest{Req: r, Tenant: l.tenant})
-	if ok {
-		if l.hasArrival {
-			cs.redelivered++
-			l.redeliveries++
-		} else {
-			l.hasArrival = true
-			l.arrival = receipt.Issued
-			c.recorder.Arrival(now)
-		}
-		l.node = idx
-		cs.ledger[l.id] = l
-		cs.byNode[idx] = append(cs.byNode[idx], l.id)
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-		c.armHedge(l, c.hedge.After)
-	} else {
-		cs.terminalRejected++
-		if l.hasArrival {
-			cs.redeliveredRejected++
-		} else {
-			c.recorder.Rejection(now)
-		}
-		cs.resolveLease(l)
-	}
-	return true
+	return c.offer(now, l, c.chaos.leaseRequest(l))
 }
 
 // flushPending delivers parked leases in order after a recovery,

@@ -19,7 +19,9 @@
 // evaluates. Routing per stage (migrating a request between nodes
 // mid-chain) would ship activations across nodes; with the paper's
 // short chains the residency-aware first-stage decision captures
-// nearly all of the benefit without modeling an interconnect.
+// nearly all of the benefit. The front end reaches its nodes over one
+// offer/fold protocol on a lease ledger (interconnect.go); the
+// Interconnect only sets how long each hop takes, zero by default.
 package cluster
 
 import (
@@ -78,10 +80,10 @@ type Config struct {
 	// default — injects nothing and leaves every serve path byte-
 	// identical to the fault-free cluster.
 	Faults *sim.FaultPlan
-	// Arena, when set alongside Faults, leases redelivered requests from
-	// this arena (normally the same one the workload source draws from)
-	// instead of allocating them. Optional; redelivery is correct either
-	// way.
+	// Arena, when set, leases redelivered requests and hedge copies
+	// from this arena (normally the same one the workload source draws
+	// from) instead of allocating them. Optional; redelivery is correct
+	// either way.
 	Arena *coe.Arena
 	// Autoscaler, when set, drives the routable node count from the
 	// fleet's windowed metrics series: once per Window it is asked for a
@@ -100,10 +102,9 @@ type Config struct {
 	Hedge HedgeConfig
 
 	// Interconnect models the dispatch latency between the front end
-	// and its nodes. Enabling it turns every offer and completion ack
-	// into a timed event one hop away on the shared environment. The
-	// zero value disables the model — offers stay synchronous,
-	// byte-identical to the latency-free cluster.
+	// and its nodes: every offer and completion ack lands one hop after
+	// it is sent. The zero value charges zero hops, so every message of
+	// the protocol lands at the instant it is sent.
 	Interconnect Interconnect
 }
 
@@ -154,11 +155,11 @@ type Cluster struct {
 	nodes     []*Node
 	recorder  *metrics.Recorder
 
-	// latency caches each node's one-way hop cost when
-	// Config.Interconnect is enabled; nil keeps offers synchronous.
-	// msgFree heads the free list of pooled hop messages.
+	// latency caches each node's one-way hop cost (all zero without
+	// an Interconnect). msgFree heads the free list of pooled protocol
+	// messages.
 	latency []time.Duration
-	msgFree *shardMsg
+	msgFree *message
 
 	runs    int
 	serving bool
@@ -178,13 +179,12 @@ type Cluster struct {
 	due      workload.TimedRequest
 	waiting  bool
 
-	// chaos is the per-stream durable-delivery state (lease ledger,
-	// redelivery queue, exactly-once counters); nil on fault-free
-	// streams, which therefore pay nothing for the machinery.
+	// chaos is the durable-delivery state (lease ledger, redelivery
+	// queue, exactly-once counters), reset for every stream.
 	chaos *chaosState
-	// closedAll records that every node's stream has been closed; with
-	// faults the close is deferred until the ledger and redelivery queue
-	// drain, so a recovered node can still receive redeliveries.
+	// closedAll records that every node's stream has been closed. The
+	// close waits until the ledger and redelivery queue drain, so a
+	// recovered node can still receive redeliveries.
 	closedAll bool
 
 	// unroutable counts nodes currently not Up. While it is zero (and
@@ -204,8 +204,7 @@ type Cluster struct {
 	delegates []nodeDelegate
 	probe     coe.Request
 
-	// draining counts nodes currently Draining; drain timing below is
-	// allocated only when faults or a fleet autoscaler are configured.
+	// draining counts nodes currently Draining.
 	draining      int
 	drainOn       []bool     // drain in progress, completion not yet recorded
 	drainStart    []sim.Time // when the drain began
@@ -234,12 +233,14 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		return nil, err
 	}
 	c.env = sim.NewEnv()
-	if cfg.Interconnect.Enabled() {
-		c.latency = make([]time.Duration, len(cfg.Nodes))
-		for i := range c.latency {
-			c.latency[i] = cfg.Interconnect.NodeLatency(i)
-		}
+	c.latency = make([]time.Duration, len(cfg.Nodes))
+	for i := range c.latency {
+		c.latency[i] = cfg.Interconnect.NodeLatency(i)
 	}
+	c.chaos = newChaosState(len(cfg.Nodes), cfg.Arena)
+	c.drainOn = make([]bool, len(cfg.Nodes))
+	c.drainStart = make([]sim.Time, len(cfg.Nodes))
+	c.scalerDrained = make([]bool, len(cfg.Nodes))
 	if c.router == nil {
 		c.router = LeastLoaded{}
 	}
@@ -287,13 +288,6 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 			nc.Preload = plan[i]
 		}
 		nc.Percentiles = cfg.Percentiles
-		if c.latency != nil {
-			// Request objects stay front-end owned: the accept fold reads
-			// the request one hop after admission, so the node hands it
-			// back through the delegate's completion and drop folds
-			// instead of recycling it.
-			nc.ExternalRecycle = true
-		}
 		sys, err := core.NewSystemInEnv(nc, m, c.env)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
@@ -316,22 +310,13 @@ type nodeDelegate struct {
 	idx int
 }
 
-// RequestDone implements core.StreamDelegate. With the interconnect
-// enabled the completion travels to the front end as a fold one hop
-// later instead of a direct call.
+// RequestDone implements core.StreamDelegate: the completion folds
+// back to the front end carrying only the request ID, since the node
+// recycles the request once this returns.
 func (d *nodeDelegate) RequestDone(now sim.Time, r *coe.Request) {
-	if d.c.latency != nil {
-		d.c.foldCompletion(d.idx, now, r)
-		return
-	}
-	d.c.requestDone(now, d.idx, r)
-}
-
-// RequestDropped implements core.DropDelegate: under ExternalRecycle —
-// set exactly when the interconnect is enabled — a crash-voided
-// request folds back to the front end for recycling.
-func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
-	d.c.postRecycle(d.idx, now, r)
+	m := d.c.newMsg(opCompletion, d.idx, false, nil)
+	m.id = r.ID
+	d.c.send(now, m)
 }
 
 // Nodes exposes the fleet (read-only use).
@@ -394,8 +379,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.cfg.Admission != nil {
 		c.cfg.Admission.Reset(c.env.Now())
 	}
-	if c.chaos != nil {
-		plan := c.cfg.Faults
+	if plan := c.cfg.Faults; !plan.Empty() {
 		c.env.Go("cluster/chaos", func(p *sim.Proc) {
 			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p.Now(), ev) })
 		})
@@ -409,18 +393,17 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	c.admit(src)
 	c.env.Run()
 
-	if cs := c.chaos; cs != nil {
-		cs.verify(c.env.Now(), "stream end")
-		if len(cs.violations) > 0 {
-			c.broken = fmt.Errorf("cluster: exactly-once accounting violated:\n  %s",
-				strings.Join(cs.violations, "\n  "))
-			return nil, c.broken
-		}
-		if !c.closedAll {
-			c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
-				src.Name(), len(cs.ledger), len(cs.pending))
-			return nil, c.broken
-		}
+	cs := c.chaos
+	cs.verify(c.env.Now(), "stream end")
+	if len(cs.violations) > 0 {
+		c.broken = fmt.Errorf("cluster: exactly-once accounting violated:\n  %s",
+			strings.Join(cs.violations, "\n  "))
+		return nil, c.broken
+	}
+	if !c.closedAll {
+		c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
+			src.Name(), len(cs.ledger), len(cs.pending))
+		return nil, c.broken
 	}
 
 	reports := make([]*core.Report, len(c.nodes))
@@ -435,38 +418,22 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	return c.report(src.Name(), reports), nil
 }
 
-// beginLifecycle arms the per-stream lifecycle state: a fresh chaos
-// ledger when a fault plan is configured (or hedging needs one), fresh
-// health scoring when configured, and the drain-timing buffers when
-// faults or a fleet autoscaler can drain nodes. Fault-free, scaler-free,
-// health-free streams allocate nothing here.
+// beginLifecycle arms the per-stream lifecycle state: a reset lease
+// ledger, cleared drain timing, and fresh health scoring when
+// configured.
 func (c *Cluster) beginLifecycle() {
 	c.closedAll = false
 	c.unroutable, c.draining = 0, 0
 	c.scaleUps, c.scaleDowns = 0, 0
 	c.drainRecords = nil
-	c.chaos = nil
+	c.chaos.reset()
 	c.health = nil
-	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.latency != nil {
-		// Hedging rides on the lease ledger even on a fault-free stream:
-		// a deadline can only re-lease what a lease tracks. The
-		// interconnect always runs over the ledger too — an offer on the
-		// wire needs a lease to land in, and close must wait for it.
-		c.chaos = newChaosState(len(c.nodes), c.cfg.Arena)
-	}
 	if c.cfg.Health.Enabled() {
 		c.health = newHealthState(c.cfg.Health.withDefaults(), len(c.nodes))
 	}
-	if c.chaos != nil || c.cfg.Autoscaler != nil {
-		if c.drainOn == nil {
-			c.drainOn = make([]bool, len(c.nodes))
-			c.drainStart = make([]sim.Time, len(c.nodes))
-			c.scalerDrained = make([]bool, len(c.nodes))
-		}
-		clear(c.drainOn)
-		clear(c.drainStart)
-		clear(c.scalerDrained)
-	}
+	clear(c.drainOn)
+	clear(c.drainStart)
+	clear(c.scalerDrained)
 }
 
 // admit starts the cluster's arrival loop on src at the current
@@ -480,16 +447,15 @@ func (c *Cluster) admit(src workload.Source) {
 }
 
 // arrivals is the cluster's arrival loop, a self-rescheduling kernel
-// callback: it walks the source, asks the router for a node for each
-// request at its due time, and offers the request to that node's
-// admission and dispatch path, re-arming itself for the first request
-// not yet due. When the source closes it closes every node's stream so
-// the fleet drains and shuts down.
+// callback: it walks the source and delivers each request at its due
+// time, re-arming itself for the first request not yet due. Once the
+// source closes, the nodes' streams close as soon as every lease has
+// resolved (maybeClose), so the fleet drains and shuts down.
 func (c *Cluster) arrivals() {
 	now := c.env.Now()
 	if c.waiting {
 		c.waiting = false
-		c.arrival(now, c.due)
+		c.deliver(now, c.due)
 	}
 	for {
 		tr, ok := c.src.Next()
@@ -501,76 +467,32 @@ func (c *Cluster) arrivals() {
 			c.env.After(wait, c.arrive)
 			return
 		}
-		c.arrival(now, tr)
+		c.deliver(now, tr)
 	}
 	c.src, c.due = nil, workload.TimedRequest{}
-	if c.chaos == nil {
-		c.closedAll = true
-		for _, n := range c.nodes {
-			n.sys.CloseStream()
-		}
-		return
-	}
-	// With faults in play the close is deferred: a voided lease may
-	// still need redelivery to a node that has not recovered yet, so the
-	// nodes' streams stay open until every lease has resolved.
+	// The close is deferred: a voided lease may still need redelivery
+	// to a node that has not recovered yet, so the nodes' streams stay
+	// open until every lease has resolved.
 	c.chaos.srcClosed = true
 	c.chaos.verify(now, "source exhausted")
 	c.maybeClose()
 }
 
-// arrival counts one due arrival in the chaos ledger and delivers it.
-func (c *Cluster) arrival(now sim.Time, tr workload.TimedRequest) {
-	if c.chaos != nil {
-		c.chaos.arrivals++
-	}
-	c.deliver(now, tr)
-}
-
-// deliver runs one arrival through cluster admission, routing, and the
-// chosen node's offer path. With faults configured it additionally
-// opens a lease in the chaos ledger on admission, and parks the request
-// for later redelivery when no routable node exists at this instant.
+// deliver runs one arrival through cluster admission, opens its lease,
+// and offers it to a routed node — or parks the lease for redelivery
+// when no node is routable at this instant.
 func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
+	cs := c.chaos
+	cs.arrivals++
 	if c.cfg.Admission != nil && !c.cfg.Admission.Admit(now, c, tr.Req) {
 		c.recorder.Rejection(now)
-		if c.chaos != nil {
-			c.chaos.terminalRejected++
-		}
+		cs.terminalRejected++
 		coe.Recycle(tr.Req)
 		return
 	}
-	idx := c.pickNode(now, tr.Req)
-	if idx < 0 {
-		// Chaos only: the whole fleet is down or draining. Park the
-		// request (by value — the ledger owns its own chain copy) for
-		// redelivery when a node recovers, and recycle the object.
-		c.chaos.park(tr, now)
-		coe.Recycle(tr.Req)
-		return
-	}
-	if c.latency != nil {
-		// The offer crosses the interconnect as a timed event; admission
-		// outcome, lease, and recorder updates land on the folds.
-		c.postOffer(now, idx, offerPrimary, tr.Req, tr.Tenant, nil)
-		return
-	}
-	c.routed[idx]++
-	lease, ok := c.nodes[idx].sys.Offer(now, tr)
-	if ok {
-		c.recorder.Arrival(now)
-		if c.chaos != nil {
-			l := c.chaos.open(idx, lease, tr, now)
-			c.armHedge(l, c.hedge.After)
-		}
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-	} else {
-		c.recorder.Rejection(now)
-		if c.chaos != nil {
-			c.chaos.terminalRejected++
-		}
+	l := cs.open(tr, now)
+	if !c.offer(now, l, tr.Req) {
+		cs.park(l)
 	}
 }
 
@@ -658,75 +580,12 @@ func (c *Cluster) PredictLatency(r *coe.Request) time.Duration {
 	return best
 }
 
-// requestDone is the fleet completion hook behind every nodeDelegate:
-// node idx reports a completion into the fleet recorder, which
-// therefore holds the exact per-request latency population — fleet
-// percentiles are computed over it, not approximated from per-node
-// summaries. With the ledger armed the completion first resolves its
-// lease, which both dedups (a completion without a live lease counts
-// nothing — exactly-once) and restores the request's original arrival
-// time for redelivered work, so fleet latency spans first admission to
-// final completion. A hedged lease resolves to whichever copy acked
-// first; the loser becomes an orphan whose own completion lands in the
-// nil-lease branch as wasted work.
-func (c *Cluster) requestDone(now sim.Time, idx int, r *coe.Request) {
-	if cs := c.chaos; cs != nil {
-		l := cs.ledger[r.ID]
-		if l == nil {
-			if cs.takeOrphan(r.ID, idx) {
-				cs.hedgeWasted++
-				return
-			}
-			cs.dupAcks++
-			return
-		}
-		c.cancelHedge(l)
-		if l.hedgeNode >= 0 {
-			// A race was on: record the loser's holder so its late
-			// completion counts as hedge waste, not as a duplicate ack.
-			if idx == l.hedgeNode {
-				cs.hedgeWins++
-				cs.addOrphan(r.ID, l.node)
-			} else {
-				cs.addOrphan(r.ID, l.hedgeNode)
-			}
-		}
-		if h := c.health; h != nil {
-			h.onComplete(idx, now.Sub(l.arrival).Seconds())
-		}
-		delete(cs.ledger, r.ID)
-		cs.completions++
-		c.recorder.Completion(l.arrival, now)
-		if l.redeliveries > 0 {
-			d := now.Sub(l.voidedAt)
-			cs.failoverSum += d
-			cs.failoverN++
-			if d > cs.failoverMax {
-				cs.failoverMax = d
-			}
-		}
-		cs.resolveLease(l)
-		if c.draining > 0 {
-			c.checkDrains(now)
-		}
-		c.maybeClose()
-		return
-	}
-	if h := c.health; h != nil {
-		h.onComplete(idx, now.Sub(r.Arrival).Seconds())
-	}
-	c.recorder.Completion(r.Arrival, now)
-	if c.draining > 0 {
-		c.checkDrains(now)
-	}
-}
-
 // maybeClose closes every node's stream once the source is exhausted
-// and no lease or parked request remains — the chaos-mode close, which
-// must wait for redelivery to finish. No-op until then.
+// and no lease or parked request remains, so it waits for redelivery
+// to finish. No-op until then.
 func (c *Cluster) maybeClose() {
 	cs := c.chaos
-	if cs == nil || !cs.srcClosed || c.closedAll {
+	if !cs.srcClosed || c.closedAll {
 		return
 	}
 	if len(cs.ledger) > 0 || len(cs.pending) > 0 {
@@ -749,7 +608,7 @@ func (c *Cluster) maybeClose() {
 // the record is the time from the drain order to this instant.
 func (c *Cluster) checkDrains(now sim.Time) {
 	for i, n := range c.nodes {
-		if c.drainOn != nil && c.drainOn[i] && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
+		if c.drainOn[i] && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
 			c.drainOn[i] = false
 			c.drainRecords = append(c.drainRecords, DrainRecord{
 				Node: n.id, Took: now.Sub(c.drainStart[i]),

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // HedgeConfig enables per-request timeouts with hedged redelivery: a
@@ -68,8 +67,8 @@ func (c *Cluster) cancelHedge(l *lease) {
 }
 
 // hedgeDue is the timer callback: the lease outlived its deadline
-// budget. It runs inline on the event kernel, so the actual re-offer is
-// handed to a fresh process.
+// budget. The re-offer itself runs from a pooled message posted at the
+// current instant, behind the events already due now.
 func (c *Cluster) hedgeDue(id int64) {
 	cs := c.chaos
 	l := cs.ledger[id]
@@ -77,7 +76,9 @@ func (c *Cluster) hedgeDue(id int64) {
 		return // resolved, voided, or already hedged since arming
 	}
 	l.timerSet = false
-	c.env.Go("cluster/hedge", func(p *sim.Proc) { c.fireHedge(p, id) })
+	m := c.newMsg(opHedgeDue, 0, false, nil)
+	m.id = id
+	c.env.PostMsg(c.env.Now(), m)
 }
 
 // fireHedge re-offers an overdue lease's request to a healthy node. On
@@ -86,7 +87,7 @@ func (c *Cluster) hedgeDue(id int64) {
 // node exists (or node admission refuses the copy) the primary keeps
 // the lease untouched and the timer re-arms with exponential backoff,
 // up to MaxRetries.
-func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
+func (c *Cluster) fireHedge(now sim.Time, id int64) {
 	cs := c.chaos
 	l := cs.ledger[id]
 	if l == nil || l.node < 0 || l.hedgeNode >= 0 || l.hedgeInFlight {
@@ -104,39 +105,17 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 		c.rearmHedge(l)
 		return
 	}
-	now := p.Now()
 	idx := c.pickHedgeNode(now, l)
 	if idx < 0 {
 		c.rearmHedge(l)
 		return
 	}
-	r := cs.leaseRequest(l)
-	if c.latency != nil {
-		// The hedge copy crosses the interconnect like any offer.
-		// hedgesFired, the byNode entry, and the race state attach when
-		// the accept fold lands; a refusal or bounce re-arms the deadline
-		// from its fold.
-		l.hedgeInFlight = true
-		c.postOffer(now, idx, offerHedge, r, l.tenant, l)
-		cs.verify(now, fmt.Sprintf("hedge %d", id))
-		return
-	}
-	c.routed[idx]++
-	_, ok := c.nodes[idx].sys.Offer(now, workload.TimedRequest{Req: r, Tenant: l.tenant})
-	if !ok {
-		cs.hedgeRejected++
-		c.rearmHedge(l)
-		return
-	}
-	cs.hedgesFired++
-	l.hedgeNode = idx
-	cs.byNode[idx] = append(cs.byNode[idx], id)
-	if h := c.health; h != nil {
-		h.onAdmit(idx)
-	}
-	// A hedge moves no lease between ledger states — one arrival, one
-	// lease, still exactly one completion ahead — so the invariant must
-	// hold unchanged at this boundary.
+	// hedgesFired, the byNode entry, and the race state attach when the
+	// accept fold lands; a refusal or bounce re-arms the deadline from
+	// its fold. A hedge moves no lease between ledger states — one
+	// arrival, one lease, still exactly one completion ahead — so the
+	// invariant must hold unchanged at this boundary.
+	c.postOffer(now, idx, true, cs.leaseRequest(l), l)
 	cs.verify(now, fmt.Sprintf("hedge %d", id))
 }
 

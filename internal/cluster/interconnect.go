@@ -19,11 +19,9 @@ import (
 // class per board tier, applied at the front-end/node seam only
 // (intra-node traffic already runs under the per-device cost model).
 //
-// Enabling the interconnect turns routing into the timed offer/fold
-// protocol below: each hop is a pooled event scheduled one hop latency
-// ahead on the cluster's single environment. The zero value disables
-// the model entirely — offers stay synchronous, byte-identical to the
-// latency-free cluster.
+// The hop latency only decides when each message of the offer/fold
+// protocol below lands. The zero value charges zero hops: every
+// message is delivered inline at the instant it is sent.
 type Interconnect struct {
 	// Dispatch is the base per-hop dispatch latency every offer and
 	// acknowledgment pays regardless of destination.
@@ -39,8 +37,8 @@ type Interconnect struct {
 	BoardSize int
 }
 
-// Enabled reports whether any latency component is configured — the
-// switch that engages the timed offer/fold protocol.
+// Enabled reports whether any latency component is configured, i.e.
+// whether protocol messages take time to land.
 func (ic Interconnect) Enabled() bool {
 	return ic.Dispatch > 0 || ic.IntraBoard > 0 || ic.InterNode > 0
 }
@@ -74,220 +72,198 @@ func (ic Interconnect) validate(nodes int) error {
 	return nil
 }
 
-// With the interconnect enabled the synchronous Offer seam is replaced
-// by an asynchronous offer/fold protocol of timed events on the
-// cluster's one environment:
+// Every request reaches a node and reports back through one offer/fold
+// protocol over the lease ledger:
 //
-//	front end ── offer @ now+latency ──▶ node
-//	node      ── fold  @ now+latency ──▶ front end
+//	front end ── offer ──▶ node
+//	node      ── fold  ──▶ front end
 //
 // The offer carries the request to the node, where it is either
 // bounced (node not Up), rejected by node admission, or admitted; the
-// outcome folds back to the front end one hop later and only then
-// touches the lease ledger, the fleet recorder, health scoring, and the
-// hedge timers. Request objects stay front-end owned
-// (core.Config.ExternalRecycle): the accept fold reads the request
-// one hop after admission, so a node hands requests back through
-// completion and drop folds instead of recycling them.
+// outcome folds back to the front end and only then touches the lease
+// ledger, the fleet recorder, health scoring, and the hedge timers.
+// send delivers a message inline when the node's hop latency is zero
+// and otherwise posts it one hop ahead on the cluster's environment.
+//
+// Once an offer hands the request to the node, the node owns it and
+// recycles it on rejection, completion, or crash-void: the accept,
+// reject, and completion folds read only the lease, the receipt, and
+// the request ID. Only a bounced request, which never reached
+// admission, comes back to the front end.
 //
 // Control verbs — fault injection, drains, restarts, stream close —
 // call into node state directly at the current instant. Only the
 // request path pays the modeled interconnect hops.
 //
-// Every hop is a pooled shardMsg — one typed union covering the whole
-// protocol (offers out; accept/reject/bounce/completion/recycle folds
-// back) — drawn from one free list and scheduled through send, so the
+// Every hop is a pooled message drawn from one free list, so the
 // steady-state offer→accept→completion cycle allocates nothing: each
 // delivered message is freed before its handler runs and immediately
 // reused for the next hop.
 
-// offerKind says which delivery of a request an offer carries.
-type offerKind int
+// msgOp selects a message's handler — the protocol's full verb set.
+type msgOp uint8
 
 const (
-	// offerPrimary is a fresh arrival's first delivery.
-	offerPrimary offerKind = iota
-	// offerRedeliver re-delivers a crash-voided (or parked) lease.
-	offerRedeliver
-	// offerHedge delivers the speculative second copy of a leased
-	// request whose deadline expired.
-	offerHedge
+	opOffer      msgOp = iota // front end → node: deliver a request to admission
+	opAccept                  // node → front end: admission succeeded, receipt enclosed
+	opReject                  // node → front end: admission refused
+	opBounce                  // node → front end: node not Up, request unopened
+	opCompletion              // node → front end: request finished, ack the lease
+	opHedgeDue                // front end → front end: a lease's hedge deadline expired
 )
 
-// shardOp selects a shardMsg's handler — the protocol's full verb set.
-type shardOp uint8
-
-const (
-	opOffer      shardOp = iota // front end → node: deliver a request to admission
-	opAccept                    // node → front end: admission succeeded, receipt enclosed
-	opReject                    // node → front end: admission refused
-	opBounce                    // node → front end: node not Up, request unopened
-	opCompletion                // node → front end: request finished, ack the lease
-	opRecycle                   // node → front end: return a dropped request to the arena
-)
-
-// shardMsg is the pooled hop payload: one union for every protocol
-// hop, so a single free list of them serves the entire interconnect
-// path. Fields beyond op are populated per-verb; receipt only rides on
-// opAccept.
-type shardMsg struct {
+// message is the pooled hop payload: one union for every protocol
+// verb. hedge marks the offer (and its fold) of a lease's speculative
+// second copy; every other offer is a delivery of the lease itself,
+// its first when the lease has no arrival yet and a redelivery after.
+// r rides only on offers and bounces, receipt only on accepts, and id
+// names the request of a completion or an expired hedge deadline.
+type message struct {
 	c       *Cluster
-	op      shardOp
-	kind    offerKind
+	op      msgOp
+	hedge   bool
 	idx     int // node index: offer target, or fold origin
+	id      int64
 	r       *coe.Request
-	tenant  string
 	l       *lease
 	receipt core.Lease
-	next    *shardMsg // free-list link
+	next    *message // free-list link
 }
 
 // Deliver implements sim.Message: the kernel invokes it at the hop's
 // arrival instant.
-func (m *shardMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
+func (m *message) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
 
-// newMsg draws a message from the free list.
-func (c *Cluster) newMsg() *shardMsg {
+// newMsg draws a message from the free list and addresses it.
+func (c *Cluster) newMsg(op msgOp, idx int, hedge bool, l *lease) *message {
 	m := c.msgFree
 	if m == nil {
-		return &shardMsg{c: c}
+		m = &message{c: c}
+	} else {
+		c.msgFree = m.next
+		m.next = nil
 	}
-	c.msgFree = m.next
-	m.next = nil
+	m.op, m.idx, m.hedge, m.l = op, idx, hedge, l
 	return m
 }
 
 // freeMsg returns a delivered message to the free list, clearing
 // payload pointers so the list pins nothing.
-func (c *Cluster) freeMsg(m *shardMsg) {
+func (c *Cluster) freeMsg(m *message) {
 	m.r, m.l = nil, nil
-	m.tenant = ""
 	m.receipt = core.Lease{}
 	m.next = c.msgFree
 	c.msgFree = m
 }
 
-// send schedules m to arrive one hop from now. Offers and folds
-// alike cross the hop between the front end and node m.idx.
-func (c *Cluster) send(now sim.Time, m *shardMsg) {
-	c.env.PostMsg(now.Add(c.latency[m.idx]), m)
+// send moves m across the hop between the front end and node m.idx:
+// inline when the hop is free, as a timed event one hop from now
+// otherwise.
+func (c *Cluster) send(now sim.Time, m *message) {
+	if hop := c.latency[m.idx]; hop > 0 {
+		c.env.PostMsg(now.Add(hop), m)
+		return
+	}
+	c.deliverMsg(m, now)
 }
 
-// deliverMsg unpacks and dispatches one protocol hop, freeing the
-// message before the handler runs so a handler that immediately posts
-// the next hop (nodeOffer folding the outcome back, a fold routing the
-// next offer) reuses the very message that carried this one.
-func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
-	op, kind, idx, r, tenant, l, receipt := m.op, m.kind, m.idx, m.r, m.tenant, m.l, m.receipt
+// deliverMsg unpacks and dispatches one protocol message, freeing it
+// before the handler runs so a handler that immediately sends the next
+// hop (nodeOffer folding the outcome back, a fold routing the next
+// offer) reuses the very message that carried this one.
+func (c *Cluster) deliverMsg(m *message, at sim.Time) {
+	op, hedge, idx, id, r, l, receipt := m.op, m.hedge, m.idx, m.id, m.r, m.l, m.receipt
 	c.freeMsg(m)
 	switch op {
 	case opOffer:
-		c.nodeOffer(at, idx, kind, r, tenant, l)
+		c.nodeOffer(at, idx, hedge, r, l)
 	case opAccept:
-		c.acceptFold(at, idx, kind, r, tenant, l, receipt)
+		c.acceptFold(at, idx, hedge, l, receipt)
 	case opReject:
-		c.rejectFold(at, idx, kind, r, l)
+		c.rejectFold(at, hedge, l)
 	case opBounce:
-		c.bounceFold(at, idx, kind, r, tenant, l)
+		c.bounceFold(at, hedge, r, l)
 	case opCompletion:
-		c.completionFold(at, idx, r)
-	case opRecycle:
-		coe.Recycle(r)
+		c.completionFold(at, idx, id)
+	case opHedgeDue:
+		c.fireHedge(at, id)
 	}
 }
 
-// postOffer dispatches a request toward node idx as a timed event
-// arriving one hop from now. The in-flight offer is tracked so
-// exactly-once verification and stream close account for requests that are currently on the wire: a primary or redelivery
-// offer carries the request's accounting token (it is in neither the
-// ledger nor the pending queue while it flies), a hedge offer carries
-// only duplicate work. l is the lease a redelivery or hedge offer
-// belongs to, nil for primaries.
-func (c *Cluster) postOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+// offer routes lease l's request r to a node and sends the offer.
+// The offer owns the outcome from here — acceptance, terminal
+// rejection, and bounce-driven re-routing all land as folds — so the
+// caller only learns whether a routable node existed at this instant;
+// on false r is recycled and the caller parks the lease.
+func (c *Cluster) offer(now sim.Time, l *lease, r *coe.Request) bool {
+	idx := c.pickNode(now, r)
+	if idx < 0 {
+		coe.Recycle(r)
+		return false
+	}
+	c.postOffer(now, idx, false, r, l)
+	return true
+}
+
+// postOffer sends request r of lease l toward node idx. The offer is
+// tracked until its fold lands, so exactly-once verification and
+// stream close account for it: a delivery carries the request's
+// accounting token (its lease is in neither the ledger nor the pending
+// queue meanwhile), a hedge offer carries only duplicate work.
+func (c *Cluster) postOffer(now sim.Time, idx int, hedge bool, r *coe.Request, l *lease) {
 	cs := c.chaos
 	c.routed[idx]++
-	if kind == offerHedge {
+	if hedge {
+		l.hedgeInFlight = true
 		cs.hedgeOffers++
 	} else {
 		cs.offersInFlight++
 	}
-	m := c.newMsg()
-	m.op, m.kind, m.idx = opOffer, kind, idx
-	m.r, m.tenant, m.l = r, tenant, l
-	c.send(now, m)
-}
-
-// postFold posts a fold verb from node idx to the front end, one hop
-// after now.
-func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
-	m := c.newMsg()
-	m.op, m.kind, m.idx = op, kind, idx
-	m.r, m.tenant, m.l, m.receipt = r, tenant, l, receipt
+	m := c.newMsg(opOffer, idx, hedge, l)
+	m.r = r
 	c.send(now, m)
 }
 
 // nodeOffer runs at the offer's arrival instant (now) on node idx. It
 // reads and advances only node-local state, and reports the outcome
-// with a fold posted one hop back.
-func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+// with a fold sent back.
+func (c *Cluster) nodeOffer(now sim.Time, idx int, hedge bool, r *coe.Request, l *lease) {
 	sys := c.nodes[idx].sys
 	if sys.State() != core.NodeUp {
 		// The node went down or started draining while the offer was on
 		// the wire: bounce it back unopened for the front end to
 		// re-route.
-		c.postFold(idx, now, opBounce, kind, r, tenant, l, core.Lease{})
+		m := c.newMsg(opBounce, idx, hedge, l)
+		m.r = r
+		c.send(now, m)
 		return
 	}
-	receipt, ok := sys.Offer(now, workload.TimedRequest{Req: r, Tenant: tenant})
-	if ok {
-		c.postFold(idx, now, opAccept, kind, r, tenant, l, receipt)
-	} else {
-		c.postFold(idx, now, opReject, kind, r, "", l, core.Lease{})
+	receipt, ok := sys.Offer(now, workload.TimedRequest{Req: r, Tenant: l.tenant})
+	if !ok {
+		c.send(now, c.newMsg(opReject, idx, hedge, l))
+		return
 	}
+	m := c.newMsg(opAccept, idx, hedge, l)
+	m.receipt = receipt
+	c.send(now, m)
 }
 
 // acceptFold lands a successful admission on the front end: the
 // lease ledger, fleet recorder, health scoring, and hedge arming all
-// advance here, one hop after the node issued the receipt.
-func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+// advance here.
+func (c *Cluster) acceptFold(now sim.Time, idx int, hedge bool, l *lease, receipt core.Lease) {
 	if receipt.Epoch != c.nodes[idx].sys.Epoch() {
-		c.crashedAcceptFold(now, idx, kind, r, tenant, l, receipt)
+		c.crashedAcceptFold(now, hedge, l, receipt)
 		return
 	}
 	cs := c.chaos
-	switch kind {
-	case offerPrimary:
-		cs.offersInFlight--
-		c.recorder.Arrival(now)
-		nl := cs.open(idx, receipt, workload.TimedRequest{Req: r, Tenant: tenant}, now)
-		c.armHedge(nl, c.hedge.After)
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-	case offerRedeliver:
-		cs.offersInFlight--
-		if l.hasArrival {
-			cs.redelivered++
-			l.redeliveries++
-		} else {
-			l.hasArrival = true
-			l.arrival = receipt.Issued
-			c.recorder.Arrival(now)
-		}
-		l.node = idx
-		cs.ledger[l.id] = l
-		cs.byNode[idx] = append(cs.byNode[idx], l.id)
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-		c.armHedge(l, c.hedge.After)
-	case offerHedge:
+	if hedge {
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
+		cs.hedgesFired++
 		if cs.ledger[l.id] == l && l.node >= 0 && l.hedgeNode < 0 {
-			cs.hedgesFired++
 			l.hedgeNode = idx
-			cs.byNode[idx] = append(cs.byNode[idx], l.id)
+			cs.track(idx, l.id)
 			if h := c.health; h != nil {
 				h.onAdmit(idx)
 			}
@@ -298,41 +274,48 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 			// orphan on its node so its completion counts as hedge waste,
 			// exactly like a lost hedge race, and a crash of the node as a
 			// voided hedge.
-			cs.hedgesFired++
-			cs.addOrphan(r.ID, idx)
-			cs.byNode[idx] = append(cs.byNode[idx], r.ID)
+			cs.addOrphan(l.id, idx)
+			cs.track(idx, l.id)
 			cs.releaseIfResolved(l)
 		}
+		c.maybeClose()
+		return
 	}
+	cs.offersInFlight--
+	c.landed(now, l, receipt)
+	l.node = idx
+	cs.ledger[l.id] = l
+	cs.track(idx, l.id)
+	if h := c.health; h != nil {
+		h.onAdmit(idx)
+	}
+	c.armHedge(l, c.hedge.After)
 	c.maybeClose()
+}
+
+// landed counts a delivery's admission: the first one starts the
+// lease's latency clock and counts as a fleet arrival, a later one is
+// a redelivery.
+func (c *Cluster) landed(now sim.Time, l *lease, receipt core.Lease) {
+	if l.hasArrival {
+		c.chaos.redelivered++
+		l.redeliveries++
+		return
+	}
+	l.hasArrival = true
+	l.arrival = receipt.Issued
+	c.recorder.Arrival(now)
 }
 
 // crashedAcceptFold lands an admission that a crash voided while its
 // fold was on the wire: the crash's lease walk could not see the copy,
 // and the crash purged it (or voids it when its batch unwinds). A
-// primary or redelivery opens its lease as voided at this instant and
-// is redelivered, or parked when nothing is routable; a hedge copy
-// counts as fired and voided, and its lease may hedge again. The
-// request object is only read here: the node's drop fold (or, when
-// the copy completed before the crash, its completion fold) owns it.
-func (c *Cluster) crashedAcceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+// delivery counts as admitted and voided at this instant, and is
+// redelivered, or parked when nothing is routable; a hedge copy counts
+// as fired and voided, and its lease may hedge again.
+func (c *Cluster) crashedAcceptFold(now sim.Time, hedge bool, l *lease, receipt core.Lease) {
 	cs := c.chaos
-	switch kind {
-	case offerPrimary:
-		cs.offersInFlight--
-		c.recorder.Arrival(now)
-		l = cs.open(idx, receipt, workload.TimedRequest{Req: r, Tenant: tenant}, now)
-	case offerRedeliver:
-		cs.offersInFlight--
-		if l.hasArrival {
-			cs.redelivered++
-			l.redeliveries++
-		} else {
-			l.hasArrival = true
-			l.arrival = receipt.Issued
-			c.recorder.Arrival(now)
-		}
-	case offerHedge:
+	if hedge {
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
 		cs.hedgesFired++
@@ -345,40 +328,22 @@ func (c *Cluster) crashedAcceptFold(now sim.Time, idx int, kind offerKind, r *co
 		c.maybeClose()
 		return
 	}
-	delete(cs.ledger, l.id)
-	l.node = -1
+	cs.offersInFlight--
+	c.landed(now, l, receipt)
 	l.voidedAt = now
 	cs.lostLeases++
-	if !c.shardRedeliver(now, l) {
-		cs.pending = append(cs.pending, l)
-		if len(cs.pending) > cs.pendingPeak {
-			cs.pendingPeak = len(cs.pending)
-		}
+	if !c.redeliverOne(now, l) {
+		cs.park(l)
 	}
 	c.maybeClose()
 }
 
 // rejectFold lands a node-admission refusal on the front end.
-// Rejection of a primary or first delivery is terminal and counted
-// once; a hedge refusal re-arms the deadline with backoff, exactly as
-// in the synchronous path.
-func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Request, l *lease) {
+// Rejection of a delivery is terminal and counted once; a hedge
+// refusal re-arms the deadline with backoff.
+func (c *Cluster) rejectFold(now sim.Time, hedge bool, l *lease) {
 	cs := c.chaos
-	switch kind {
-	case offerPrimary:
-		cs.offersInFlight--
-		c.recorder.Rejection(now)
-		cs.terminalRejected++
-	case offerRedeliver:
-		cs.offersInFlight--
-		cs.terminalRejected++
-		if l.hasArrival {
-			cs.redeliveredRejected++
-		} else {
-			c.recorder.Rejection(now)
-		}
-		cs.resolveLease(l)
-	case offerHedge:
+	if hedge {
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
 		cs.hedgeRejected++
@@ -387,38 +352,28 @@ func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		} else {
 			cs.releaseIfResolved(l)
 		}
+	} else {
+		cs.offersInFlight--
+		cs.terminalRejected++
+		if l.hasArrival {
+			cs.redeliveredRejected++
+		} else {
+			c.recorder.Rejection(now)
+		}
+		cs.resolveLease(l)
 	}
-	coe.Recycle(r)
 	c.maybeClose()
 }
 
 // bounceFold lands an offer that found its node not Up: the request
-// never reached admission, so the front end re-routes it with
-// current knowledge — re-picking for primaries and redeliveries
+// never reached admission, so the front end still owns it and
+// re-routes it with current knowledge — re-picking for deliveries
 // (parking when nothing is routable), re-arming the deadline for
 // hedges.
-func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+func (c *Cluster) bounceFold(now sim.Time, hedge bool, r *coe.Request, l *lease) {
 	cs := c.chaos
 	cs.bounced++
-	switch kind {
-	case offerPrimary:
-		cs.offersInFlight--
-		if j := c.pickNode(now, r); j >= 0 {
-			c.postOffer(now, j, offerPrimary, r, tenant, nil)
-			return
-		}
-		cs.park(workload.TimedRequest{Req: r, Tenant: tenant}, now)
-	case offerRedeliver:
-		cs.offersInFlight--
-		if j := c.pickNode(now, r); j >= 0 {
-			c.postOffer(now, j, offerRedeliver, r, tenant, l)
-			return
-		}
-		cs.pending = append(cs.pending, l)
-		if len(cs.pending) > cs.pendingPeak {
-			cs.pendingPeak = len(cs.pending)
-		}
-	case offerHedge:
+	if hedge {
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
 		if cs.ledger[l.id] == l && l.node >= 0 {
@@ -426,51 +381,50 @@ func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		} else {
 			cs.releaseIfResolved(l)
 		}
+		coe.Recycle(r)
+	} else {
+		cs.offersInFlight--
+		if !c.offer(now, l, r) {
+			cs.park(l)
+		}
 	}
-	coe.Recycle(r)
 	c.maybeClose()
 }
 
-// foldCompletion ships node idx's completion ack back to the front end
-// as a timed fold — the interconnect's replacement for the synchronous
-// requestDone call.
-func (c *Cluster) foldCompletion(idx int, now sim.Time, r *coe.Request) {
-	c.postFold(idx, now, opCompletion, 0, r, "", nil, core.Lease{})
-}
-
-// completionFold resolves a completion against the lease ledger on the
-// front end, one hop after the node acked. First fold wins: it
-// resolves the lease, records the fleet completion (latency spans
-// first node admission to this fold, return hop included), and
-// schedules the loser of any hedge race as waste. Folds from holders
-// the ledger no longer tracks — a copy that completed on a node after
-// its lease was voided and redelivered, a race the synchronous path
-// cannot express — count as duplicate acks, never as completions.
-func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
+// completionFold resolves node idx's completion of request id against
+// the lease ledger. First fold wins: it resolves the lease, records
+// the fleet completion (latency spans first node admission to this
+// fold, return hop included), and schedules the loser of any hedge
+// race as waste. Folds from holders the ledger no longer tracks — a
+// copy that completed on a node after its lease was voided and
+// redelivered, which only a nonzero hop can produce — count as
+// duplicate acks, never as completions.
+func (c *Cluster) completionFold(now sim.Time, idx int, id int64) {
 	cs := c.chaos
-	l := cs.ledger[r.ID]
+	l := cs.ledger[id]
 	if l == nil || (idx != l.node && idx != l.hedgeNode) {
-		if cs.takeOrphan(r.ID, idx) {
+		if cs.takeOrphan(id, idx) {
 			cs.hedgeWasted++
 		} else {
 			cs.dupAcks++
 		}
-		coe.Recycle(r)
 		return
 	}
 	c.cancelHedge(l)
 	if l.hedgeNode >= 0 {
+		// A race was on: record the loser's holder so its late
+		// completion counts as hedge waste, not as a duplicate ack.
 		if idx == l.hedgeNode {
 			cs.hedgeWins++
-			cs.addOrphan(r.ID, l.node)
+			cs.addOrphan(id, l.node)
 		} else {
-			cs.addOrphan(r.ID, l.hedgeNode)
+			cs.addOrphan(id, l.hedgeNode)
 		}
 	}
 	if h := c.health; h != nil {
 		h.onComplete(idx, now.Sub(l.arrival).Seconds())
 	}
-	delete(cs.ledger, r.ID)
+	delete(cs.ledger, id)
 	cs.completions++
 	c.recorder.Completion(l.arrival, now)
 	if l.redeliveries > 0 {
@@ -482,35 +436,8 @@ func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 		}
 	}
 	cs.resolveLease(l)
-	coe.Recycle(r)
 	if c.draining > 0 {
 		c.checkDrains(now)
 	}
 	c.maybeClose()
-}
-
-// shardRedeliver is redeliverOne's interconnect body: route the voided
-// lease and post the offer. The offer owns the outcome from here —
-// acceptance, terminal rejection, and bounce-driven re-routing all
-// land as folds — so the caller only learns whether a routable node
-// existed at this instant (false parks the lease, exactly like the
-// synchronous path).
-func (c *Cluster) shardRedeliver(now sim.Time, l *lease) bool {
-	cs := c.chaos
-	r := cs.leaseRequest(l)
-	idx := c.pickNode(now, r)
-	if idx < 0 {
-		coe.Recycle(r)
-		return false
-	}
-	c.postOffer(now, idx, offerRedeliver, r, l.tenant, l)
-	return true
-}
-
-// postRecycle returns a crash-voided request object to the front end
-// one hop after the node dropped it — the DropDelegate path under
-// ExternalRecycle. The node's own drop accounting already ran; the
-// fold only recycles, because the front end owns the request.
-func (c *Cluster) postRecycle(idx int, now sim.Time, r *coe.Request) {
-	c.postFold(idx, now, opRecycle, 0, r, "", nil, core.Lease{})
 }

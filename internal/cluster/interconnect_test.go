@@ -49,11 +49,11 @@ func serveOverInterconnect(t *testing.T, cfg Config, rate float64, n int, seed i
 	return normalize(rep)
 }
 
-// TestShardedExactlyOnceUnderChaos asserts the accounting contract
+// TestInterconnectExactlyOnceUnderChaos asserts the accounting contract
 // over the interconnect: every arrival resolves exactly once
 // even with crashes racing completion acks across the interconnect,
 // and redelivery covers every voided lease.
-func TestShardedExactlyOnceUnderChaos(t *testing.T) {
+func TestInterconnectExactlyOnceUnderChaos(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
 		{At: 2 * time.Second, Node: 1, Kind: sim.FaultRecover},
@@ -95,13 +95,13 @@ var twoCrashes = []sim.FaultEvent{
 	{At: 6 * time.Second, Node: 0, Kind: sim.FaultRecover},
 }
 
-// TestShardedCrashVoidsAdmissionOnTheWire pins the crash/admission
+// TestInterconnectCrashVoidsAdmissionOnTheWire pins the crash/admission
 // race: a node admits a request, crashes before the accept fold
 // reaches the front end, and purges it. The fold's receipt carries
 // the node's crash epoch, so the front end sees the admission was
 // voided and redelivers the request instead of opening a lease on a
 // copy that no longer exists (which left the stream unable to close).
-func TestShardedCrashVoidsAdmissionOnTheWire(t *testing.T) {
+func TestInterconnectCrashVoidsAdmissionOnTheWire(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	for seed := int64(1); seed <= 8; seed++ {
 		cfg := icConfig(t, &sim.FaultPlan{Events: twoCrashes}, HealthConfig{}, HedgeConfig{})
@@ -166,14 +166,14 @@ func TestHedgeAccountingUnderCrashes(t *testing.T) {
 	}
 }
 
-// TestShardedLateHedgeCountsAsFired pins the hedge identity over the
+// TestInterconnectLateHedgeCountsAsFired pins the hedge identity over the
 // interconnect: every fired hedge ends exactly once as wasted or
 // voided. Under a slow interconnect a hedge offer flies for tens of
 // milliseconds, long enough for its lease to resolve before the copy
 // is admitted; that late copy is still a fired hedge and its
 // completion still counts as waste. Each of these seeds lands such a
 // late copy behind a 150x straggler.
-func TestShardedLateHedgeCountsAsFired(t *testing.T) {
+func TestInterconnectLateHedgeCountsAsFired(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
@@ -199,12 +199,12 @@ func TestShardedLateHedgeCountsAsFired(t *testing.T) {
 	}
 }
 
-// TestShardedReopenDeterministic pins warm restarts over the
+// TestInterconnectReopenDeterministic pins warm restarts over the
 // interconnect: consecutive Serve calls reopen the environment, hedge
 // timers, leases, and pooled messages from the first stream never leak
 // into the second, and a second cluster replaying the same rounds
 // reports identically.
-func TestShardedReopenDeterministic(t *testing.T) {
+func TestInterconnectReopenDeterministic(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
 		{At: 2 * time.Second, Node: 1, Kind: sim.FaultRecover},
@@ -234,8 +234,8 @@ func TestShardedReopenDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins the constructor's contract checks.
-func TestShardedConfigValidation(t *testing.T) {
+// TestInterconnectConfigValidation pins the constructor's contract checks.
+func TestInterconnectConfigValidation(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	bad := []struct {
 		name string
@@ -256,10 +256,10 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardedLatencyShowsUp sanity-checks that the hop model actually
+// TestInterconnectLatencyShowsUp sanity-checks that the hop model actually
 // costs something: the same stream served with a 10x slower
 // interconnect completes with a strictly higher mean latency.
-func TestShardedLatencyShowsUp(t *testing.T) {
+func TestInterconnectLatencyShowsUp(t *testing.T) {
 	fast := serveOverInterconnect(t, icConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
 	slowIC := icConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	slowIC.Interconnect = Interconnect{

@@ -68,7 +68,8 @@ type Report struct {
 	PerNode []*core.Report
 
 	// Chaos and lifecycle accounting — all zero on fault-free,
-	// scaler-free streams.
+	// scaler-free streams, and FinalStates nil unless faults, hedging,
+	// an interconnect, or a fleet autoscaler is configured.
 
 	// Faults counts fault-plan events applied; Crashes, Drains,
 	// Recoveries, and the gray kinds (Slows, Jitters, Stalls) break
@@ -97,8 +98,8 @@ type Report struct {
 	PendingPeak int
 	// Bounced counts offers that crossed the interconnect only to find
 	// their node no longer Up, and were re-routed by the front end.
-	// Always zero without Config.Interconnect: the synchronous offer
-	// path routes and admits at the same instant.
+	// Always zero without Config.Interconnect: over a zero hop an offer
+	// lands at the instant it is routed.
 	Bounced int64
 	// DupAcks counts completion acknowledgments that arrived after
 	// their lease had been voided and redelivered — work finished on a
@@ -203,28 +204,27 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if len(c.drainRecords) > 0 {
 		r.TimeToDrain = append([]DrainRecord(nil), c.drainRecords...)
 	}
-	if cs := c.chaos; cs != nil {
-		r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
-		r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
-		r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
-		r.LostLeases = cs.lostLeases
-		r.Redelivered = cs.redelivered
-		r.RedeliveredRejected = cs.redeliveredRejected
-		r.PendingPeak = cs.pendingPeak
-		r.Bounced = cs.bounced
-		r.DupAcks = cs.dupAcks
-		if cs.failoverN > 0 {
-			r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
-			r.FailoverMax = cs.failoverMax
-		}
-		r.HedgesFired = cs.hedgesFired
-		r.HedgeWins = cs.hedgeWins
-		r.HedgeWasted = cs.hedgeWasted
-		r.HedgeRejected = cs.hedgeRejected
-		r.HedgeRetries = cs.hedgeRetries
-		r.HedgePromoted = cs.hedgePromoted
-		r.HedgesVoided = cs.hedgesVoided
+	cs := c.chaos
+	r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
+	r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
+	r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
+	r.LostLeases = cs.lostLeases
+	r.Redelivered = cs.redelivered
+	r.RedeliveredRejected = cs.redeliveredRejected
+	r.PendingPeak = cs.pendingPeak
+	r.Bounced = cs.bounced
+	r.DupAcks = cs.dupAcks
+	if cs.failoverN > 0 {
+		r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
+		r.FailoverMax = cs.failoverMax
 	}
+	r.HedgesFired = cs.hedgesFired
+	r.HedgeWins = cs.hedgeWins
+	r.HedgeWasted = cs.hedgeWasted
+	r.HedgeRejected = cs.hedgeRejected
+	r.HedgeRetries = cs.hedgeRetries
+	r.HedgePromoted = cs.hedgePromoted
+	r.HedgesVoided = cs.hedgesVoided
 	if h := c.health; h != nil {
 		r.BreakerTrips = h.trips
 		r.BreakerReinstates = h.reinstates
@@ -232,7 +232,7 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.BreakerBypasses = h.bypasses
 		r.HealthScores = append([]float64(nil), h.score...)
 	}
-	if c.chaos != nil || c.cfg.Autoscaler != nil {
+	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
 		r.FinalStates = make([]core.NodeState, len(c.nodes))
 		for i, n := range c.nodes {
 			r.FinalStates[i] = n.sys.State()

@@ -209,15 +209,6 @@ type Config struct {
 	// paper's bounded tasks, unwanted for fleet-scale streams of
 	// millions of requests. Off by default.
 	DisablePicks bool
-	// ExternalRecycle hands request-object ownership to the stream
-	// delegate: the controller stops recycling requests on rejection,
-	// completion, and crash-void (drops route through the delegate's
-	// DropDelegate hook instead), and the env owner recycles each
-	// request after its own accounting. The cluster sets this on every
-	// node when its interconnect is enabled, because the accept fold
-	// reads the request one hop after admission; meaningless without a
-	// StreamDelegate.
-	ExternalRecycle bool
 }
 
 // PercentileMode selects exact (store-every-sample) or sketch

@@ -144,11 +144,8 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 		}
 		// The rejection is fully recorded (counters and the trace event
 		// copy values, not the pointer), so an arena-leased request can
-		// go straight back to its free list — unless the caller owns
-		// recycling and still holds the pointer.
-		if !s.cfg.ExternalRecycle {
-			coe.Recycle(r)
-		}
+		// go straight back to its free list.
+		coe.Recycle(r)
 		return false
 	}
 	r.Arrival = now
@@ -206,12 +203,8 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	}
 	// Last touch of the request: its completion is recorded, the trace
 	// event holds copies, the tenant entry is gone, and the delegate has
-	// observed it. An arena-leased request is now safe to reuse — unless
-	// the delegate took ownership (ExternalRecycle) and recycles it
-	// after its own accounting.
-	if !s.cfg.ExternalRecycle {
-		coe.Recycle(r)
-	}
+	// observed it. An arena-leased request is now safe to reuse.
+	coe.Recycle(r)
 	if c.closed && c.completed+c.dropped == c.admitted {
 		c.finish()
 	}
@@ -222,8 +215,6 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 // redelivers it to another node. The request is recycled (the voiding
 // dispatcher copied what it needs before the crash was applied) and the
 // stream can still finish exactly: completed + dropped == admitted.
-// Under ExternalRecycle the request instead goes back to the owning
-// delegate through its DropDelegate hook.
 func (c *controller) drop(now sim.Time, r *coe.Request) {
 	s := c.sys
 	c.dropped++
@@ -235,13 +226,7 @@ func (c *controller) drop(now sim.Time, r *coe.Request) {
 			At: now.Duration(), Kind: trace.KindDropped, Request: r.ID,
 		})
 	}
-	if s.cfg.ExternalRecycle {
-		if dd, ok := c.delegate.(DropDelegate); ok {
-			dd.RequestDropped(now, r)
-		}
-	} else {
-		coe.Recycle(r)
-	}
+	coe.Recycle(r)
 	if c.closed && c.completed+c.dropped == c.admitted {
 		c.finish()
 	}

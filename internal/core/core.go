@@ -629,19 +629,10 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 // StreamDelegate observes a joined system's stream from the outside —
 // the cluster layer's completion hook. RequestDone fires once per
 // request, at the virtual instant its final stage completes, after the
-// node's own accounting.
+// node's own accounting. The node recycles r once RequestDone returns,
+// so a delegate keeps copies, never the pointer.
 type StreamDelegate interface {
 	RequestDone(now sim.Time, r *coe.Request)
-}
-
-// DropDelegate is the optional companion of StreamDelegate under
-// Config.ExternalRecycle: when a crash voids an admitted request, the
-// node's accounting strikes it as usual and then hands the request
-// object back through RequestDropped instead of recycling it, so the
-// owning layer can return it to its arena after its own lease
-// bookkeeping.
-type DropDelegate interface {
-	RequestDropped(now sim.Time, r *coe.Request)
 }
 
 // JoinStream arms a joined system (NewSystemInEnv) for one externally
@@ -682,6 +673,8 @@ func (namedStream) Next() (workload.TimedRequest, bool) { return workload.TimedR
 // lease first — with ok true. A rejected request leaves only a
 // rejection mark; a node that is not Up refuses the offer outright,
 // leaving no mark at all (the dispatcher should not have routed here).
+// Unless the node refused it outright, the node owns tr.Req once Offer
+// returns and recycles it on rejection, completion, or crash-void.
 // Offer must only be called between JoinStream and CloseStream, from
 // a handler of the shared env.
 func (s *System) Offer(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
