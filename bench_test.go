@@ -275,35 +275,31 @@ func BenchmarkWarmRestartServe(b *testing.B) {
 	}
 }
 
+// kernelHop is a pooled Message that re-posts itself one millisecond on
+// until its hops run out: the shape of every timed protocol on the
+// kernel.
+type kernelHop struct {
+	env  *sim.Env
+	hops int
+}
+
+func (m *kernelHop) Deliver(at sim.Time) {
+	if m.hops--; m.hops > 0 {
+		m.env.PostMsg(at.Add(time.Millisecond), m)
+	}
+}
+
 // BenchmarkSimKernel measures raw event throughput of the discrete-event
-// kernel: pairs of processes ping-ponging through sleeps. One untimed
-// warm-up run comes first: each run starts four process goroutines, and
-// whether the runtime can reuse exited goroutines for them depends on
-// what ran before — without the warm-up a -benchtime 1x measurement
-// counts goroutine allocations left over from the previous benchmark.
+// kernel: four pooled messages each delivered 250 times, 1,000 events
+// per op on a fresh Env.
 func BenchmarkSimKernel(b *testing.B) {
-	run := func() {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
 		for p := 0; p < 4; p++ {
-			env.Go("p", func(pr *sim.Proc) {
-				for t := 0; t < 250; t++ {
-					pr.Sleep(time.Millisecond)
-				}
-			})
+			env.PostMsg(0, &kernelHop{env: env, hops: 250})
 		}
 		env.Run()
-	}
-	// One P, so the goroutines and channel waiters the warm-up leaves
-	// behind for reuse sit in the one per-P cache the timed runs draw
-	// from: with more Ps they can land in another P's cache, and
-	// -benchtime 1x allocations then vary run to run. The kernel runs
-	// one goroutine at a time either way.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
 	}
 }
 

@@ -89,7 +89,7 @@ var randConstructors = map[string]bool{
 // deterministic kernel (internal/sim) or runs entirely inside it
 // (internal/cluster). There, concurrency is not merely a hazard to an
 // output path — any goroutine or lock the kernel does not order itself
-// destroys the one-process-at-a-time event order directly.
+// destroys the one-event-at-a-time order directly.
 func kernelDir(path string) bool {
 	dir := filepath.ToSlash(filepath.Dir(path))
 	return strings.HasSuffix(dir, "internal/sim") || strings.HasSuffix(dir, "internal/cluster")
@@ -139,7 +139,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if kernel {
-				report(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster); processes start through sim.Env.Go, and parallelism belongs across independent simulations (internal/runner)")
+				report(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster); concurrent work is scheduled as kernel events (sim.Env.After, sim.Env.PostMsg), and parallelism belongs across independent simulations (internal/runner)")
 			}
 		case *ast.SelectorExpr:
 			if !kernel {
@@ -147,7 +147,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 			}
 			if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil {
 				if path := imports[id.Name]; path == "sync" || path == "sync/atomic" {
-					report(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster); the kernel runs one process at a time, so its state is never guarded by locks", id.Name, n.Sel.Name))
+					report(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster); the kernel runs one event at a time on one goroutine, so its state is never guarded by locks", id.Name, n.Sel.Name))
 				}
 			}
 		case *ast.CallExpr:
@@ -157,7 +157,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 			}
 			switch {
 			case path == "time" && (fn == "Now" || fn == "Since"):
-				report(n.Pos(), fmt.Sprintf("time.%s reads the wall clock; simulation code must use the virtual clock (sim.Proc.Now)", fn))
+				report(n.Pos(), fmt.Sprintf("time.%s reads the wall clock; simulation code must use the virtual clock (sim.Env.Now)", fn))
 			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[fn]:
 				report(n.Pos(), fmt.Sprintf("rand.%s uses the shared global generator; build an owned, seeded one with rand.New(rand.NewSource(seed))", fn))
 			}

@@ -10,7 +10,7 @@
 // Flagged:
 //
 //   - time.Now / time.Since: wall-clock reads. Simulation code must use
-//     the virtual clock (sim.Env / sim.Proc). Deliberate wall-clock
+//     the virtual clock (sim.Env.Now). Deliberate wall-clock
 //     measurement (the Figure 19 scheduling-overhead probe) is
 //     annotated.
 //   - package-level math/rand calls (rand.Intn, rand.Float64, ...):
@@ -24,11 +24,12 @@
 //     same way or use a slice.
 //   - goroutine launches and sync/sync.atomic use inside the kernel
 //     packages (internal/sim, internal/cluster): every event must be
-//     ordered by the kernel itself, which runs exactly one process at
-//     a time on one virtual clock, so kernel state is never guarded by
-//     locks. Parallelism belongs outside the kernel, across whole
-//     independent simulations (internal/runner). The kernel's own
-//     process-launch point is annotated.
+//     ordered by the kernel itself, which runs its callbacks and
+//     messages (Env.After, Env.PostMsg) one at a time on one goroutine
+//     and one virtual clock, so kernel state is never guarded by locks.
+//     Parallelism belongs outside the kernel, across whole independent
+//     simulations (internal/runner). No kernel package has an
+//     exemption.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every

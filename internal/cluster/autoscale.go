@@ -79,26 +79,28 @@ func (s *RateFleetScaler) Scale(now sim.Time, w metrics.Window, interval time.Du
 	return active
 }
 
-// fleetAutoscale is the cluster's scaling process: once per Window it
-// synthesizes the last window of the fleet series from the recorder's
-// counters (arrivals, completions, rejections since the previous tick),
-// asks the autoscaler for a desired Up count, and applies it. It exits
-// once the stream's nodes have been closed — the fleet only drains from
-// there.
-func (c *Cluster) fleetAutoscale(p *sim.Proc) {
+// startFleetAutoscale arms the cluster's scaling loop: once per Window
+// it synthesizes the last window of the fleet series from the
+// recorder's counters (arrivals, completions, rejections since the
+// previous tick), asks the autoscaler for a desired Up count, and
+// applies it. The loop is a self-rescheduling callback armed from a
+// start event at the current instant; it stops once the stream's nodes
+// have been closed — the fleet only drains from there.
+func (c *Cluster) startFleetAutoscale() {
 	window := c.cfg.Window
 	var lastArr, lastComp, lastRej int64
-	start := p.Now()
-	for {
-		p.Sleep(window)
+	var start sim.Time
+	var tick func()
+	tick = func() {
 		if c.closedAll {
 			return
 		}
+		now := c.env.Now()
 		arr := c.recorder.Arrivals()
 		comp := c.recorder.Completions()
 		rej := c.recorder.Rejections()
 		w := metrics.Window{
-			Start:       p.Now().Sub(start) - window,
+			Start:       now.Sub(start) - window,
 			Arrivals:    arr - lastArr,
 			Completions: comp - lastComp,
 			Rejections:  rej - lastRej,
@@ -110,21 +112,24 @@ func (c *Cluster) fleetAutoscale(p *sim.Proc) {
 				up++
 			}
 		}
-		if up == 0 {
-			continue // mid-blackout; nothing to scale
+		if up > 0 { // mid-blackout there is nothing to scale
+			desired := c.cfg.Autoscaler.Scale(now, w, window, up, len(c.nodes))
+			desired = min(max(desired, 1), len(c.nodes))
+			c.applyScale(now, desired, up)
 		}
-		desired := c.cfg.Autoscaler.Scale(p.Now(), w, window, up, len(c.nodes))
-		desired = min(max(desired, 1), len(c.nodes))
-		c.applyScale(p, desired, up)
+		c.env.After(window, tick)
 	}
+	c.env.After(0, func() {
+		start = c.env.Now()
+		c.env.After(window, tick)
+	})
 }
 
 // applyScale drains or resumes nodes to move the Up count toward
 // desired. Scale-down drains from the highest index; scale-up resumes
 // autoscaler-drained nodes from the lowest. Crashed nodes and fault-
 // plan drains are out of bounds in both directions.
-func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
-	now := p.Now()
+func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 	for i := len(c.nodes) - 1; i >= 0 && up > desired; i-- {
 		n := c.nodes[i]
 		if n.sys.State() != core.NodeUp {

@@ -269,8 +269,8 @@ func TestFleetAutoscalerDrainsIdleCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ScaleDowns < 3 {
-		t.Errorf("scale-downs = %d, want >= 3 (6 req/s needs one 12 req/s node)", rep.ScaleDowns)
+	if rep.ScaleDowns != 3 || rep.ScaleUps != 0 {
+		t.Errorf("scale-downs/ups = %d/%d, want 3/0 (6 req/s needs one 12 req/s node)", rep.ScaleDowns, rep.ScaleUps)
 	}
 	if rep.Completions != rep.N || rep.N != 60 {
 		t.Errorf("arrivals/completions = %d/%d, want 60/60", rep.N, rep.Completions)
@@ -284,8 +284,11 @@ func TestFleetAutoscalerDrainsIdleCapacity(t *testing.T) {
 	if up == 0 {
 		t.Error("autoscaler drained the whole fleet")
 	}
-	if len(rep.TimeToDrain) == 0 {
-		t.Error("no drain durations recorded for the scaled-down nodes")
+	// Committed drain records: the idle nodes drain at the instant the
+	// scaler drains them.
+	wantDrains := []DrainRecord{{Node: "node1"}, {Node: "node2"}, {Node: "node3"}}
+	if !reflect.DeepEqual(rep.TimeToDrain, wantDrains) {
+		t.Errorf("drains = %v, want %v", rep.TimeToDrain, wantDrains)
 	}
 }
 

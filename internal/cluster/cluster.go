@@ -350,7 +350,6 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	defer func() { c.serving = false }()
 
 	if c.runs > 0 {
-		c.env.Reopen()
 		c.recorder.Reset()
 		clear(c.routed)
 	}
@@ -379,16 +378,12 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.cfg.Admission != nil {
 		c.cfg.Admission.Reset(c.env.Now())
 	}
-	if plan := c.cfg.Faults; !plan.Empty() {
-		c.env.Go("cluster/chaos", func(p *sim.Proc) {
-			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p.Now(), ev) })
-		})
-	}
+	c.cfg.Faults.Start(c.env, func(ev sim.FaultEvent) { c.applyFault(c.env.Now(), ev) })
 	if c.cfg.Autoscaler != nil {
-		c.env.Go("cluster/autoscale", c.fleetAutoscale)
+		c.startFleetAutoscale()
 	}
 	if c.health != nil {
-		c.env.Go("cluster/health", c.healthLoop)
+		c.startHealth()
 	}
 	c.admit(src)
 	c.env.Run()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -186,17 +185,22 @@ func (h *healthState) resetNode(i int) {
 	h.sk[i].Reset()
 }
 
-// healthLoop is the scoring process: once per Window it recomputes every
-// node's score and advances the breaker FSM. It exits after the stream
-// has fully closed, like the fleet autoscaler.
-func (c *Cluster) healthLoop(p *sim.Proc) {
-	for {
-		p.Sleep(c.health.cfg.Window)
+// startHealth arms the scoring loop: once per Window it recomputes
+// every node's score and advances the breaker FSM. Like the fleet
+// autoscaler, it is a self-rescheduling callback armed from a start
+// event at the current instant, and it stops after the stream has fully
+// closed.
+func (c *Cluster) startHealth() {
+	window := c.health.cfg.Window
+	var tick func()
+	tick = func() {
 		if c.closedAll {
 			return
 		}
 		c.healthTick()
+		c.env.After(window, tick)
 	}
+	c.env.After(0, func() { c.env.After(window, tick) })
 }
 
 // healthTick folds one window: per-node scores from this window's

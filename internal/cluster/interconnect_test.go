@@ -200,7 +200,7 @@ func TestInterconnectLateHedgeCountsAsFired(t *testing.T) {
 }
 
 // TestInterconnectReopenDeterministic pins warm restarts over the
-// interconnect: consecutive Serve calls reopen the environment, hedge
+// interconnect: consecutive Serve calls continue one environment, hedge
 // timers, leases, and pooled messages from the first stream never leak
 // into the second, and a second cluster replaying the same rounds
 // reports identically.

@@ -14,11 +14,11 @@ package coe
 // the serving layer guarantees this by recycling only after the
 // completion/rejection is fully recorded (trace events and window
 // samples copy values, never retain the pointer). An Arena is owned by
-// the workload source's caller and persists across streams and
-// Env.Reopen warm restarts, so consecutive streams share one pool.
+// the workload source's caller and persists across streams and warm
+// restarts, so consecutive streams share one pool.
 //
-// An Arena is not safe for concurrent use. One simulation runs one
-// goroutine at a time, so a single arena may serve every node of a
+// An Arena is not safe for concurrent use. One simulation runs on one
+// goroutine, so a single arena may serve every node of a
 // cluster within one sim.Env, but distinct parallel experiment runs
 // need distinct arenas.
 type Arena struct {

@@ -445,6 +445,13 @@ func TestAutoscalerDeterministic(t *testing.T) {
 			a.Throughput, a.Makespan, a.ActiveGPU, a.ActiveCPU,
 			b.Throughput, b.Makespan, b.ActiveGPU, b.ActiveCPU)
 	}
+	// Committed values: the scaling loop's wakes must keep their event
+	// slots, or the run drifts from these while staying self-consistent.
+	if a.Throughput != 11.57762188286979 || a.Makespan != 17274704773 ||
+		a.ActiveGPU != 3 || a.ActiveCPU != 1 || len(a.Windows) != 70 {
+		t.Errorf("autoscaled serve = %v img/s, makespan %v, %dG+%dC, %d windows; want 11.57762188286979, 17.274704773s, 3G+1C, 70",
+			a.Throughput, a.Makespan, a.ActiveGPU, a.ActiveCPU, len(a.Windows))
+	}
 }
 
 func TestAutoscalerRejectsReplayConfig(t *testing.T) {

@@ -104,9 +104,9 @@ func NewSystem(cfg Config, m *coe.Model) (*System, error) {
 
 // NewSystemInEnv builds a system bound to an externally owned simulation
 // environment: the cluster layer's node constructor. The caller owns the
-// env lifecycle — it runs the event loop and re-arms it between streams
-// — so a joined system refuses Serve/RunTask and is driven through
-// JoinStream, Offer, CloseStream, and StreamReport instead. A system
+// env lifecycle — it runs the event loop for every stream — so a joined
+// system refuses Serve/RunTask and is driven through JoinStream, Offer,
+// CloseStream, and StreamReport instead. A system
 // built by NewSystem is byte-identical to one built here on a fresh env
 // and driven through the same stream.
 func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
@@ -543,10 +543,9 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 	defer func() { s.serving = false }()
 
 	if s.runs > 0 {
-		// Warm restart: re-arm the drained environment and zero the
-		// per-stream statistics, keeping the recorder's sample buffers.
-		// Pool contents — the warm state — are deliberately kept.
-		s.env.Reopen()
+		// Warm restart: zero the per-stream statistics, keeping the
+		// recorder's sample buffers. Pool contents — the warm state — are
+		// deliberately kept.
 		s.resetStream()
 	}
 	s.runs++
@@ -598,7 +597,7 @@ func (s *System) resetStream() {
 
 // beginStream arms one stream: a fresh controller (with the delegate for
 // externally fed streams), admission reset, the stream trace marker, and
-// the executor runs and autoscaler process. The caller then starts the
+// the executor runs and autoscaler loop. The caller then starts the
 // arrival loop — the controller's own for Serve, the cluster's router
 // loop for joined systems — and runs the env.
 func (s *System) beginStream(src workload.Source, d StreamDelegate) {
@@ -622,7 +621,7 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 		ex.Start(s.env)
 	}
 	if s.cfg.Autoscaler != nil {
-		s.env.Go("autoscale", s.autoscale)
+		s.startAutoscale()
 	}
 }
 
@@ -636,12 +635,11 @@ type StreamDelegate interface {
 }
 
 // JoinStream arms a joined system (NewSystemInEnv) for one externally
-// fed stream named stream: per-stream statistics are reset (the env
-// owner re-arms the shared env itself), the executors are launched into
-// the shared env, and subsequent Offer calls feed arrivals in. The env
-// owner closes the stream with CloseStream once the arrival loop is
-// exhausted and collects the node's slice of the run with StreamReport
-// after the env drains.
+// fed stream named stream: per-stream statistics are reset, the
+// executors are launched into the shared env, and subsequent Offer calls
+// feed arrivals in. The env owner closes the stream with CloseStream
+// once the arrival loop is exhausted and collects the node's slice of
+// the run with StreamReport after the env drains.
 func (s *System) JoinStream(stream string, d StreamDelegate) error {
 	if s.ownsEnv {
 		return fmt.Errorf("core: JoinStream on a system that owns its env; use Serve")
@@ -714,35 +712,39 @@ func (s *System) StreamReport() (*Report, error) {
 	return s.report(s.ctrl.stream), nil
 }
 
-// autoscale is the control-plane process: once per window it samples
+// startAutoscale arms the control-plane loop: once per window it samples
 // each kind's busy fraction over the window and the standing backlog,
 // asks the autoscaler for the desired active counts, and applies them.
-// The active counts persist across consecutive streams, so a follow-up
+// The loop is a self-rescheduling callback armed from a start event at
+// the current instant, and it stops once the stream has finished. The
+// active counts persist across consecutive streams, so a follow-up
 // stream starts on the topology the previous one converged to — with
 // the deactivated executors' pools still warm.
-func (s *System) autoscale(p *sim.Proc) {
+func (s *System) startAutoscale() {
 	window := s.cfg.Window
 	lastBusy := make([]time.Duration, len(s.executors))
-	for i, ex := range s.executors {
-		lastBusy[i] = ex.BusyTime()
+	// Busy fraction per kind over the window's active executors.
+	// Inactive executors may still be draining leftover work; their
+	// snapshots advance but do not count toward utilization.
+	busyOver := func(from, count int) float64 {
+		var busy time.Duration
+		for i := from; i < from+count; i++ {
+			busy += s.executors[i].BusyTime() - lastBusy[i]
+		}
+		if count == 0 {
+			return 0
+		}
+		return busy.Seconds() / (window.Seconds() * float64(count))
 	}
-	for {
-		p.Sleep(window)
+	snapshot := func() {
+		for i, ex := range s.executors {
+			lastBusy[i] = ex.BusyTime()
+		}
+	}
+	var tick func()
+	tick = func() {
 		if s.ctrl.finished {
 			return
-		}
-		// Busy fraction per kind over the window's active executors.
-		// Inactive executors may still be draining leftover work; their
-		// snapshots advance but do not count toward utilization.
-		busyOver := func(from, count int) float64 {
-			var busy time.Duration
-			for i := from; i < from+count; i++ {
-				busy += s.executors[i].BusyTime() - lastBusy[i]
-			}
-			if count == 0 {
-				return 0
-			}
-			return busy.Seconds() / (window.Seconds() * float64(count))
 		}
 		u := control.Utilization{
 			Window:       window,
@@ -754,12 +756,15 @@ func (s *System) autoscale(p *sim.Proc) {
 			CPUPoolSlots: s.cpuPoolSlots,
 		}
 		clear(s.windowExperts)
-		for i, ex := range s.executors {
-			lastBusy[i] = ex.BusyTime()
-		}
-		g, c := s.cfg.Autoscaler.Scale(p.Now(), u, s.activeGPU, s.activeCPU)
+		snapshot()
+		g, c := s.cfg.Autoscaler.Scale(s.env.Now(), u, s.activeGPU, s.activeCPU)
 		s.setActive(g, c)
+		s.env.After(window, tick)
 	}
+	s.env.After(0, func() {
+		snapshot()
+		s.env.After(window, tick)
+	})
 }
 
 // Runs reports how many streams the system has served.

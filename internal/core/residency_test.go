@@ -63,9 +63,6 @@ func TestResidencyCountMatchesPools(t *testing.T) {
 
 			var switches, evictions int64
 			for stream := 0; stream < 2; stream++ {
-				if stream > 0 {
-					env.Reopen() // the warm restart: pools keep their contents
-				}
 				d := &countDelegate{}
 				if err := s.JoinStream(fmt.Sprintf("s%d", stream), d); err != nil {
 					t.Fatal(err)
@@ -74,29 +71,48 @@ func TestResidencyCountMatchesPools(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				env.Go("arrivals", func(p *sim.Proc) {
-					start := p.Now()
-					for i := 0; ; i++ {
-						tr, ok := src.Next()
-						if !ok {
-							break
+				// The arrival loop: a callback that offers every due
+				// request and re-arms itself for the first one not yet due.
+				var start sim.Time
+				var tr workload.TimedRequest
+				held := false
+				i := 0
+				var arrive func()
+				arrive = func() {
+					for ; ; i++ {
+						if !held {
+							var ok bool
+							if tr, ok = src.Next(); !ok {
+								break
+							}
+							held = true
 						}
-						if wait := start.Add(tr.At).Sub(p.Now()); wait > 0 {
-							p.Sleep(wait)
+						if wait := start.Add(tr.At).Sub(env.Now()); wait > 0 {
+							env.After(wait, arrive)
+							return
 						}
-						s.Offer(p.Now(), tr)
+						held = false
+						s.Offer(env.Now(), tr)
 						if !check(fmt.Sprintf("stream %d arrival %d", stream, i)) {
 							break
 						}
 						if stream == 1 && i == 150 {
-							s.Crash(p.Now())
+							s.Crash(env.Now())
 							check("crash")
-							p.Sleep(time.Second)
-							s.Restart()
-							check("recover")
+							i++
+							env.After(time.Second, func() {
+								s.Restart()
+								check("recover")
+								arrive()
+							})
+							return
 						}
 					}
 					s.CloseStream()
+				}
+				env.After(0, func() {
+					start = env.Now()
+					arrive()
 				})
 				env.Run()
 				rep, err := s.StreamReport()

@@ -5,14 +5,13 @@
 // memory, and executes them on the shared compute resource of its
 // processor.
 //
-// An executor runs as a state machine on the simulation kernel, not as
-// a process: each launch (Start) is a Run, a sim.Message that the
+// An executor runs as a state machine on the simulation kernel: each
+// launch (Start) is a Run, a sim.Message that the
 // kernel delivers whenever the executor may proceed — work arrived at
 // its queue's gate, a sharer's load of its expert finished, a transfer
 // leg's resource freed or its hold ended, activation memory was
 // reserved, the compute unit freed, or a batch completed. Between those
-// points the run is just data; serving a request costs no goroutine
-// handoff.
+// points the run is just data.
 package executor
 
 import (

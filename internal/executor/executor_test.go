@@ -203,11 +203,9 @@ func TestExecutorSwitchThenExecute(t *testing.T) {
 func TestExecutorWaitsForWorkThenExits(t *testing.T) {
 	r := newRig(t, 4*rn101Bytes, 8<<30, 16)
 	r.start()
-	r.env.Go("ctrl", func(p *sim.Proc) {
-		p.Sleep(time.Second)
+	r.env.After(time.Second, func() {
 		r.enqueue(mkReq(0, 0))
-		p.Sleep(5 * time.Second)
-		r.finish()
+		r.env.After(5*time.Second, r.finish)
 	})
 	r.env.Run()
 	if len(r.finished) != 1 {
@@ -316,15 +314,13 @@ func TestCrashMidBatchRestartOverlapsOldRun(t *testing.T) {
 	exec4 := model.ExecLatency(model.ResNet101, r.dev.GPU, 4)
 	exec2 := model.ExecLatency(model.ResNet101, r.dev.GPU, 2)
 	var purged []*coe.Request
-	r.env.Go("chaos", func(p *sim.Proc) {
-		p.Sleep(exec4 / 2) // the first batch of four is executing
+	r.env.After(exec4/2, func() { // the first batch of four is executing
 		epoch++
 		purged = r.queue.Purge()
 		r.queue.Gate().Notify()
 		r.enqueue(mkReq(100, 0), mkReq(101, 0))
 		r.start()
-		p.Sleep(time.Minute)
-		r.finish()
+		r.env.After(time.Minute, r.finish)
 	})
 	r.env.Run()
 

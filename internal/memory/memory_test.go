@@ -56,11 +56,17 @@ func TestReleaseTooMuchPanics(t *testing.T) {
 	a.Release(6)
 }
 
-// waitReserve reserves bytes for process p, parking until the arena
-// posts it when they do not fit yet.
-func waitReserve(a *Arena, p *sim.Proc, bytes int64) {
-	if !a.WaitReserve(p.Env(), p, bytes) {
-		p.Park()
+// reserver is a Message waiter that runs then once its reservation
+// holds.
+type reserver struct{ then func() }
+
+func (r *reserver) Deliver(sim.Time) { r.then() }
+
+// waitReserve reserves bytes and runs then at the instant they are held:
+// at once when they fit, otherwise when the arena posts the waiter.
+func waitReserve(env *sim.Env, a *Arena, bytes int64, then func()) {
+	if a.WaitReserve(env, &reserver{then: then}, bytes) {
+		then()
 	}
 }
 
@@ -71,15 +77,11 @@ func TestWaitReserveBlocksUntilFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var acquiredAt sim.Time
-	env.Go("waiter", func(p *sim.Proc) {
-		waitReserve(a, p, 50)
-		acquiredAt = p.Now()
+	waitReserve(env, a, 50, func() {
+		acquiredAt = env.Now()
 		a.Release(50)
 	})
-	env.Go("releaser", func(p *sim.Proc) {
-		p.Sleep(2 * time.Second)
-		a.Release(80)
-	})
+	env.After(2*time.Second, func() { a.Release(80) })
 	env.Run()
 	if acquiredAt != sim.Time(2*time.Second) {
 		t.Errorf("waiter acquired at %v, want 2s", acquiredAt)
@@ -98,22 +100,19 @@ func TestWaitReserveFIFONoStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	env.Go("big", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		waitReserve(a, p, 80)
-		order = append(order, "big")
-		a.Release(80)
+	env.After(time.Millisecond, func() {
+		waitReserve(env, a, 80, func() {
+			order = append(order, "big")
+			a.Release(80)
+		})
 	})
-	env.Go("small", func(p *sim.Proc) {
-		p.Sleep(2 * time.Millisecond)
-		waitReserve(a, p, 5)
-		order = append(order, "small")
-		a.Release(5)
+	env.After(2*time.Millisecond, func() {
+		waitReserve(env, a, 5, func() {
+			order = append(order, "small")
+			a.Release(5)
+		})
 	})
-	env.Go("releaser", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		a.Release(90)
-	})
+	env.After(time.Second, func() { a.Release(90) })
 	env.Run()
 	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
 		t.Errorf("service order = %v, want [big small]", order)
@@ -123,36 +122,29 @@ func TestWaitReserveFIFONoStarvation(t *testing.T) {
 func TestWaitReserveImmediateWhenFits(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArena("gpu", 100)
-	var at sim.Time
-	env.Go("p", func(p *sim.Proc) {
-		if !a.WaitReserve(env, p, 100) {
+	at := sim.Time(-1)
+	env.After(time.Second, func() {
+		if !a.WaitReserve(env, &reserver{then: func() { t.Error("fitting reservation posted its waiter") }}, 100) {
 			t.Error("fitting WaitReserve queued instead of reserving")
 		}
-		at = p.Now()
+		at = env.Now()
 		a.Release(100)
 	})
 	env.Run()
-	if at != 0 {
-		t.Errorf("immediate WaitReserve resumed at %v, want 0", at)
+	if at != sim.Time(time.Second) {
+		t.Errorf("immediate WaitReserve resumed at %v, want 1s", at)
 	}
 }
 
 func TestWaitReserveImpossiblePanics(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArena("gpu", 10)
-	var recovered bool
-	env.Go("p", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				recovered = true
-			}
-		}()
-		waitReserve(a, p, 11)
-	})
-	env.Run()
-	if !recovered {
-		t.Error("no panic for impossible reservation")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for impossible reservation")
+		}
+	}()
+	waitReserve(env, a, 11, func() { t.Error("impossible reservation held") })
 }
 
 func TestTierStrings(t *testing.T) {

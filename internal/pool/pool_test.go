@@ -48,31 +48,66 @@ func newPool(env *sim.Env, store *Store, m *coe.Model, capacity int64, pol Polic
 
 const rn101 = 178_196_640 // ResNet101 weight bytes
 
-// acquire pins e in pool p for process proc, switching it in when it is
-// absent — an executor's pin-and-load sequence driven from a process —
-// and reports whether it switched.
-func acquire(proc *sim.Proc, p *Pool, e *coe.Expert) bool {
-	for {
-		pinned, loading := p.TryPin(e)
+// pinner pins an expert the way an executor does, as a Message the
+// kernel steps through the pin-and-load sequence: TryPin, a wait on a
+// sharer's in-flight load, StartLoad, each transfer leg's acquire and
+// hold, and FinishLoad. It then reports whether it switched the expert
+// in.
+type pinner struct {
+	env     *sim.Env
+	p       *Pool
+	e       *coe.Expert
+	loading bool
+	load    Load
+	leg     int
+	held    bool
+	done    func(switched bool)
+}
+
+// acquire pins e in pool p at the current instant and calls done once
+// the pin holds; the caller releases it.
+func acquire(env *sim.Env, p *Pool, e *coe.Expert, done func(switched bool)) {
+	k := &pinner{env: env, p: p, e: e, done: done}
+	k.Deliver(env.Now())
+}
+
+func (k *pinner) Deliver(now sim.Time) {
+	if !k.loading {
+		pinned, loading := k.p.TryPin(k.e)
 		if pinned {
-			return false
+			k.done(false)
+			return
 		}
-		if loading == nil {
-			break
+		if loading != nil {
+			loading.Wait(k) // a sharer is switching it in: re-check then
+			return
 		}
-		loading.Wait(proc)
-		proc.Park()
+		k.load = k.p.StartLoad(k.e)
+		k.loading = true
 	}
-	l := p.StartLoad(e)
-	for _, leg := range l.Transfer.Legs() {
-		for !leg.Res.Acquire(proc) {
-			proc.Park()
+	for legs := k.load.Transfer.Legs(); k.leg < len(legs); k.leg++ {
+		leg := legs[k.leg]
+		if !k.held {
+			if !leg.Res.Acquire(k) {
+				return // posted again when a unit frees
+			}
+			k.held = true
+			k.env.PostMsg(now.Add(leg.Hold), k)
+			return
 		}
-		proc.Sleep(leg.Hold)
-		leg.Res.Release(proc)
+		leg.Res.Release(k)
+		k.held = false
 	}
-	p.FinishLoad(&l)
-	return true
+	k.p.FinishLoad(&k.load)
+	k.done(true)
+}
+
+// pinRelease pins e and releases it at once, then runs then.
+func pinRelease(env *sim.Env, p *Pool, e *coe.Expert, then func()) {
+	acquire(env, p, e, func(bool) {
+		p.Release(e.ID)
+		then()
+	})
 }
 
 func TestPreload(t *testing.T) {
@@ -97,8 +132,8 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 	p := newPool(env, store, m, 4*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	var switched bool
-	env.Go("x", func(proc *sim.Proc) {
-		switched = acquire(proc, p, m.Expert(0))
+	acquire(env, p, m.Expert(0), func(sw bool) {
+		switched = sw
 		p.Release(0)
 	})
 	end := env.Run()
@@ -116,9 +151,9 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 func TestAcquireMissLoadsFromSSD(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, m, 4*rn101, LRU{})
-	var switched bool
-	env.Go("x", func(proc *sim.Proc) {
-		switched = acquire(proc, p, m.Expert(0))
+	switched := false
+	acquire(env, p, m.Expert(0), func(sw bool) {
+		switched = sw
 		p.Release(0)
 	})
 	end := env.Run()
@@ -142,10 +177,7 @@ func TestAcquireEvictsWhenFull(t *testing.T) {
 	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, m.Expert(2))
-		p.Release(2)
-	})
+	pinRelease(env, p, m.Expert(2), func() {})
 	env.Run()
 	if p.Loaded() != 2 {
 		t.Errorf("loaded = %d, want 2", p.Loaded())
@@ -163,16 +195,13 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		// Touch 0 later than 1: 1 becomes the LRU victim.
-		acquire(proc, p, m.Expert(1))
-		p.Release(1)
-		proc.Sleep(time.Second)
-		acquire(proc, p, m.Expert(0))
-		p.Release(0)
-		proc.Sleep(time.Second)
-		acquire(proc, p, m.Expert(2))
-		p.Release(2)
+	// Touch 0 later than 1: 1 becomes the LRU victim.
+	pinRelease(env, p, m.Expert(1), func() {
+		env.After(time.Second, func() {
+			pinRelease(env, p, m.Expert(0), func() {
+				env.After(time.Second, func() { pinRelease(env, p, m.Expert(2), func() {}) })
+			})
+		})
 	})
 	env.Run()
 	if p.IsLoaded(1) {
@@ -188,12 +217,9 @@ func TestFIFOEvictsOldestLoad(t *testing.T) {
 	p := newPool(env, store, m, 2*rn101, FIFO{})
 	p.Preload(m.Expert(0)) // loaded first
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		// Recent touch must NOT save expert 0 under FIFO.
-		acquire(proc, p, m.Expert(0))
-		p.Release(0)
-		acquire(proc, p, m.Expert(2))
-		p.Release(2)
+	// Recent touch must NOT save expert 0 under FIFO.
+	pinRelease(env, p, m.Expert(0), func() {
+		pinRelease(env, p, m.Expert(2), func() {})
 	})
 	env.Run()
 	if p.IsLoaded(0) {
@@ -220,10 +246,7 @@ func TestDepAwareStage1EvictsOrphanedSubsequent(t *testing.T) {
 	p.Preload(cls2)
 	p.Preload(cls3)
 	p.Preload(det) // orphaned: cls0/cls1 not resident
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, m.Expert(0))
-		p.Release(0)
-	})
+	pinRelease(env, p, m.Expert(0), func() {})
 	env.Run()
 	if p.IsLoaded(det.ID) {
 		t.Error("orphaned subsequent expert survived stage 1")
@@ -247,10 +270,7 @@ func TestDepAwareDetectorWithResidentPreliminarySurvives(t *testing.T) {
 	p.Preload(cls0)
 	p.Preload(cls2)
 	p.Preload(det)
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, m.Expert(3))
-		p.Release(3)
-	})
+	pinRelease(env, p, m.Expert(3), func() {})
 	env.Run()
 	if !p.IsLoaded(det.ID) {
 		t.Error("non-orphaned detector evicted")
@@ -267,11 +287,11 @@ func TestPinnedExpertsNeverEvicted(t *testing.T) {
 	p := newPool(env, store, m, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, m.Expert(0)) // pin 0; LRU would otherwise pick it
-		acquire(proc, p, m.Expert(2)) // must evict 1, not pinned 0
-		p.Release(2)
-		p.Release(0)
+	acquire(env, p, m.Expert(0), func(bool) { // pin 0; LRU would otherwise pick it
+		acquire(env, p, m.Expert(2), func(bool) { // must evict 1, not pinned 0
+			p.Release(2)
+			p.Release(0)
+		})
 	})
 	env.Run()
 	if !p.IsLoaded(0) {
@@ -296,10 +316,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, m, 4*rn101, LRU{})
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, m.Expert(0))
-		p.Release(0)
-	})
+	pinRelease(env, p, m.Expert(0), func() {})
 	env.Run()
 	if p.Switches() != 1 {
 		t.Fatal("setup: expected one switch")
@@ -319,10 +336,7 @@ func TestStoreCacheHitIsFastAndExclusive(t *testing.T) {
 		t.Fatal("demoted expert not cached")
 	}
 	p := newPool(env, store, m, 4*rn101, LRU{})
-	env.Go("x", func(proc *sim.Proc) {
-		acquire(proc, p, e)
-		p.Release(e.ID)
-	})
+	pinRelease(env, p, e, func() {})
 	end := env.Run()
 	want := xfer.LoadLatency(store.Device(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
 	if end != sim.Time(want) {
@@ -417,10 +431,13 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 			env, store, m := testWorld(t, 3*rn101, 8)
 			holds := make([]int32, m.NumExperts())
 			p := New("gpu0", 3*rn101, store, memory.TierGPU, pol, env.Now, holds)
-			env.Go("driver", func(proc *sim.Proc) {
-				for i := 0; i < 200; i++ {
-					e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
-					acquire(proc, p, e)
+			steps := 0
+			var step func()
+			step = func() {
+				i := steps
+				steps++
+				e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+				acquire(env, p, e, func(bool) {
 					if p.FreeBytes() < 0 {
 						t.Error("negative free bytes")
 					}
@@ -431,14 +448,22 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 							return
 						}
 					}
-					proc.Sleep(time.Duration(rng.Intn(50)) * time.Millisecond)
-					p.Release(e.ID)
-					if got := p.Loaded(); got < 1 {
-						t.Errorf("loaded = %d after acquire", got)
-					}
-				}
-			})
+					env.After(time.Duration(rng.Intn(50))*time.Millisecond, func() {
+						p.Release(e.ID)
+						if got := p.Loaded(); got < 1 {
+							t.Errorf("loaded = %d after acquire", got)
+						}
+						if steps < 200 {
+							step()
+						}
+					})
+				})
+			}
+			step()
 			env.Run()
+			if steps != 200 {
+				t.Fatalf("ran %d of 200 acquire/release steps", steps)
+			}
 			// Conservation: switches - evictions = resident delta.
 			if int64(p.Loaded()) != p.Switches()-p.Evictions() {
 				t.Errorf("loaded=%d switches=%d evictions=%d: conservation broken",

@@ -16,7 +16,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/memory"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xfer"
 )
@@ -38,21 +37,13 @@ type BatchPoint struct {
 }
 
 // BatchSweep runs the batch-size microbenchmark for an architecture on a
-// processor kind, executing each batch in a fresh simulation and
-// recording elapsed virtual time and memory footprint.
+// processor kind, recording each batch's execution latency under the
+// calibrated cost model and its memory footprint.
 func BatchSweep(dev *hw.Device, arch model.Architecture, kind hw.ProcKind, maxBatch int) []BatchPoint {
 	proc := dev.Proc(kind)
 	points := make([]BatchPoint, 0, maxBatch)
 	for n := 1; n <= maxBatch; n++ {
-		n := n
-		env := sim.NewEnv()
-		var elapsed time.Duration
-		env.Go("bench", func(p *sim.Proc) {
-			start := p.Now()
-			p.Sleep(model.ExecLatency(arch, proc, n))
-			elapsed = p.Now().Sub(start)
-		})
-		env.Run()
+		elapsed := model.ExecLatency(arch, proc, n)
 		points = append(points, BatchPoint{
 			Batch:     n,
 			Exec:      elapsed,

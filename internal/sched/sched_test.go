@@ -376,21 +376,22 @@ func TestSplitBound(t *testing.T) {
 func TestGatesNotifyOnEnqueue(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
-	var woke bool
-	env.Go("exec", func(p *sim.Proc) {
-		q.Gate().Wait(p)
-		p.Park()
-		woke = true
-	})
-	env.Go("ctrl", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		q.Enqueue(expert(1), req(0, 1))
-	})
+	w := &gateWaiter{}
+	q.Gate().Wait(w)
+	env.After(time.Second, func() { q.Enqueue(expert(1), req(0, 1)) })
 	env.Run()
-	if !woke {
-		t.Error("executor not woken by enqueue")
+	if w.wakes != 1 || w.at != sim.Time(time.Second) {
+		t.Errorf("executor woken %d times, last at %v; want once, by the enqueue at 1s", w.wakes, w.at)
 	}
 }
+
+// gateWaiter stands in for an executor parked on its queue's gate.
+type gateWaiter struct {
+	wakes int
+	at    sim.Time
+}
+
+func (w *gateWaiter) Deliver(at sim.Time) { w.wakes, w.at = w.wakes+1, at }
 
 func TestModeStrings(t *testing.T) {
 	if ModeFIFO.String() != "fifo" || ModeGrouped.String() != "grouped" {

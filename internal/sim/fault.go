@@ -73,9 +73,9 @@ type FaultEvent struct {
 }
 
 // FaultPlan is a deterministic schedule of node lifecycle transitions.
-// The env owner (the cluster layer) fires the events from a process of
-// the shared env, so a given plan produces byte-identical runs. A nil or
-// empty plan means no faults — the zero-fault configuration.
+// The env owner (the cluster layer) fires the events from callbacks on
+// the shared env (Start), so a given plan produces byte-identical runs.
+// A nil or empty plan means no faults — the zero-fault configuration.
 type FaultPlan struct {
 	Events []FaultEvent
 }
@@ -205,21 +205,30 @@ func GenerateFaultPlan(nodes int, mtbf, mttr, horizon time.Duration, seed int64)
 	return p, nil
 }
 
-// Run walks the plan from the current virtual time, sleeping to each
-// event's offset (relative to the process's time at entry) and handing
-// it to fire. It is the body of the env owner's fault-injection process;
-// equal-offset events fire back to back at the same instant, in plan
-// order.
-func (p *FaultPlan) Run(proc *Proc, fire func(FaultEvent)) {
+// Start arms the plan on env. Start posts a start event at the current
+// instant; offsets count from that event's time, and each event is handed
+// to fire from a callback at its offset. Offset-0 events fire inside the
+// start event itself, and equal-offset events fire back to back at the
+// same instant, in plan order. An empty plan posts nothing.
+func (p *FaultPlan) Start(env *Env, fire func(FaultEvent)) {
 	if p.Empty() {
 		return
 	}
-	start := proc.Now()
-	for _, ev := range p.Events {
-		due := start.Add(ev.At)
-		if wait := due.Sub(proc.Now()); wait > 0 {
-			proc.Sleep(wait)
+	var start Time
+	next := 0
+	var step func()
+	step = func() {
+		for ; next < len(p.Events); next++ {
+			ev := p.Events[next]
+			if wait := start.Add(ev.At).Sub(env.Now()); wait > 0 {
+				env.After(wait, step)
+				return
+			}
+			fire(ev)
 		}
-		fire(ev)
 	}
+	env.After(0, func() {
+		start = env.Now()
+		step()
+	})
 }

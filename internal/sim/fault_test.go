@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -245,39 +246,45 @@ func TestGenerateFaultPlanDeterministicAndRecoversEveryCrash(t *testing.T) {
 	}
 }
 
+// TestFaultPlanRunFiresAtOffsetsInPlanOrder pins a started plan's
+// event slots: offsets count from the start event, which Start posts at
+// the current instant, so an offset-0 event fires between a callback
+// scheduled at Now before Start and one scheduled after it; equal
+// offsets fire back to back in plan order.
 func TestFaultPlanRunFiresAtOffsetsInPlanOrder(t *testing.T) {
 	p := &FaultPlan{Events: []FaultEvent{
 		{At: 10 * time.Millisecond, Node: 0, Kind: FaultCrash},
 		{At: 30 * time.Millisecond, Node: 1, Kind: FaultDrain},
 		{At: 30 * time.Millisecond, Node: 0, Kind: FaultRecover}, // same instant, declaration order
+		{At: 0, Node: 1, Kind: FaultSlow, Factor: 2},             // sorts first: fires in the start event
 	}}
 	if err := p.Validate(2); err != nil {
 		t.Fatal(err)
 	}
 	env := NewEnv()
-	type firing struct {
-		at time.Duration
-		ev FaultEvent
-	}
-	var got []firing
-	env.Go("chaos", func(proc *Proc) {
-		p.Run(proc, func(ev FaultEvent) {
-			got = append(got, firing{proc.Now().Duration(), ev})
-		})
+	var got []string
+	logAt := func(what string) { got = append(got, fmt.Sprintf("%s@%v", what, env.Now())) }
+	// The plan starts 5ms in, so offsets count from there.
+	env.After(5*time.Millisecond, func() {
+		env.After(0, func() { logAt("before") })
+		p.Start(env, func(ev FaultEvent) { logAt(fmt.Sprintf("%s node%d", ev.Kind, ev.Node)) })
+		env.After(0, func() { logAt("after") })
 	})
 	env.Run()
-	want := []firing{
-		{10 * time.Millisecond, p.Events[0]},
-		{30 * time.Millisecond, p.Events[1]},
-		{30 * time.Millisecond, p.Events[2]},
+	want := []string{
+		"before@5ms", "slow node1@5ms", "after@5ms",
+		"crash node0@15ms",
+		"drain node1@35ms", "recover node0@35ms",
 	}
-	if !reflect.DeepEqual(got, want) {
+	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("firings = %v, want %v", got, want)
 	}
 
-	// An empty plan's Run returns immediately without touching the clock.
+	// An empty plan fires nothing and leaves the clock untouched.
 	env2 := NewEnv()
-	env2.Go("noop", func(proc *Proc) { (&FaultPlan{}).Run(proc, func(FaultEvent) { t.Error("empty plan fired") }) })
+	(&FaultPlan{}).Start(env2, func(FaultEvent) { t.Error("empty plan fired") })
+	var nilPlan *FaultPlan
+	nilPlan.Start(env2, func(FaultEvent) { t.Error("nil plan fired") })
 	if end := env2.Run(); end != 0 {
 		t.Errorf("empty plan advanced the clock to %v", end)
 	}

@@ -3,27 +3,20 @@
 // The kernel drives actions against a virtual clock. Events with equal
 // timestamps fire in the order they were scheduled, so a simulation is
 // fully deterministic given deterministic handler code. An event is one
-// of two kinds, and both run inline on the kernel goroutine:
+// of two kinds, and both run inline on the caller's goroutine:
 //
 //   - a callback (After, AfterFunc);
 //   - a typed Message (PostMsg), whose Deliver method runs at the
 //     scheduled instant. A message allocates no closure, and the sender
 //     may pool its payloads.
 //
-// The serving hot path runs on these alone. CoServe's executors and
+// These are the kernel's one execution model. CoServe's executors and
 // arrival loops are state machines that the kernel resumes as Messages
 // or callbacks, and the blocking primitives — Gate, Event, Resource, and
 // memory arenas — queue Message waiters and post them at the current
-// instant when they may proceed. Nothing on the per-request path hands
-// control to another goroutine.
-//
-// Processes (Go) are the straight-line alternative, in the style of
-// SimPy, for cold paths such as fault plans, autoscalers and one-off
-// probes: a Proc is a goroutine that runs under the kernel's control and
-// blocks in Sleep or Park. A Proc is itself a Message — delivering it
-// resumes the process — so a process waits on any primitive by queueing
-// itself as the waiter and parking. Each resume is a goroutine handoff,
-// which is why the hot path avoids them.
+// instant when they may proceed. A periodic loop (a fault plan, an
+// autoscaler, health scoring) is a callback that re-arms itself with
+// After. The kernel starts no goroutine.
 //
 // The event loop is the hottest path of every experiment, so it is kept
 // allocation-lean: fired events are recycled on a per-environment free
@@ -54,26 +47,25 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Message is a typed event payload: Deliver runs inline on the kernel
-// goroutine at the scheduled instant, exactly like an After callback,
-// with at the event's timestamp (== Now). The indirection exists for
-// pooling — a protocol can recycle its message structs on its own free
-// list, making steady-state traffic allocation-free where closures
-// cannot be.
+// Message is a typed event payload: Deliver runs inline on the goroutine
+// that called Run, at the scheduled instant, exactly like an After
+// callback, with at the event's timestamp (== Now). The indirection
+// exists for pooling — a protocol can recycle its message structs on its
+// own free list, making steady-state traffic allocation-free where
+// closures cannot be.
 type Message interface {
 	Deliver(at Time)
 }
 
 // event is a scheduled kernel action. Exactly one of fn and msg is set:
-// fn is the callback path; msg is the typed-message path (PostMsg, and
-// process wake-ups, since a Proc is a Message), which allocates no
-// closure. Events are pooled on the environment's free list, so no
-// field may be read after release.
+// fn is the callback path; msg is the typed-message path (PostMsg),
+// which allocates no closure. Events are pooled on the environment's
+// free list, so no field may be read after release.
 type event struct {
 	at    Time
 	seq   int64
-	fn    func()  // callback path (After, AfterFunc, process start)
-	msg   Message // typed payload (PostMsg, Sleep) — no closure allocated
+	fn    func()  // callback path (After, AfterFunc)
+	msg   Message // typed payload (PostMsg) — no closure allocated
 	index int     // heap index; -1 once removed from the heap
 	next  *event  // free-list link
 }
@@ -117,18 +109,10 @@ func (h *eventHeap) Pop() any {
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create environments with NewEnv.
 type Env struct {
-	now        Time
-	events     eventHeap
-	seq        int64
-	yield      chan struct{} // process -> kernel handoff
-	running    bool
-	terminated bool
-	nprocs     int
-
-	// parkedHead/parkedTail form an intrusive doubly-linked list of
-	// parked processes threaded through Proc.parkedPrev/parkedNext:
-	// O(1) insert and remove with zero allocation per park.
-	parkedHead, parkedTail *Proc
+	now     Time
+	events  eventHeap
+	seq     int64
+	running bool
 
 	// free is the event free list; fired and cancelled events are
 	// recycled here so steady-state scheduling allocates nothing.
@@ -137,7 +121,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // Now reports the current virtual time.
@@ -187,9 +171,11 @@ func (e *Env) PostMsg(at Time, m Message) {
 	e.newEvent(at).msg = m
 }
 
-// After schedules fn to run after duration d. It is the callback-style
-// counterpart to Proc.Sleep and may be called from process context or
-// before Run. The callback runs inline on the kernel goroutine.
+// After schedules fn to run after duration d. It may be called from a
+// handler or before Run; the callback runs inline on the goroutine that
+// called Run. After(0, fn) runs fn at the current instant, behind every
+// event already scheduled for it. A periodic loop is a callback that
+// re-arms itself with After.
 func (e *Env) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -259,9 +245,12 @@ func (e *Env) dispatch(ev *event) {
 }
 
 // Run executes events until the queue is empty, then returns the final
-// clock value. Processes still blocked when the queue drains are woken
-// with a termination panic that the process wrapper absorbs, so Run
-// leaves no goroutines behind.
+// clock value. Run may be called again to continue the simulation: the
+// clock keeps its value, which is how serving layers run consecutive
+// streams on one warm environment. A waiter still queued on a Gate,
+// Event, or Resource when a round ends stays queued, and a later
+// Notify, Fire, or Release posts it in the next round, so callers leave
+// none behind.
 func (e *Env) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -271,7 +260,6 @@ func (e *Env) Run() Time {
 		e.dispatch(e.popEvent())
 	}
 	e.running = false
-	e.drain()
 	return e.now
 }
 
@@ -292,173 +280,3 @@ func (e *Env) RunUntil(deadline Time) Time {
 	}
 	return e.now
 }
-
-// terminationSentinel unwinds a parked process when the simulation ends.
-type terminationSentinel struct{}
-
-// drain wakes every parked process with a termination panic so their
-// goroutines exit. Called once the event queue is empty.
-func (e *Env) drain() {
-	e.terminated = true
-	for e.parkedHead != nil {
-		e.wake(e.parkedHead)
-	}
-}
-
-// Terminated reports whether the environment has finished draining.
-func (e *Env) Terminated() bool { return e.terminated }
-
-// Reopen re-arms a drained environment for another round: the virtual
-// clock keeps its value, and Go works again. It is the warm-restart hook
-// for serving layers that run consecutive streams on one simulated
-// system. Callers are responsible for having left no waiter on a Gate,
-// Event, or Resource when the previous Run drained — a stale waiter
-// would be posted, and run, in the next round.
-func (e *Env) Reopen() {
-	if e.running {
-		panic("sim: Reopen while running")
-	}
-	if !e.terminated {
-		panic("sim: Reopen before Run drained")
-	}
-	e.terminated = false
-}
-
-// Procs reports the number of processes that have been started and have
-// not yet finished.
-func (e *Env) Procs() int { return e.nprocs }
-
-// Proc is a simulation process: a goroutine that runs under the kernel's
-// control. All blocking methods must be called from the process's own
-// goroutine.
-type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
-
-	// Intrusive parked-list links; owned by the environment.
-	parkedPrev, parkedNext *Proc
-	parked                 bool
-}
-
-// Name reports the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// String reports the process name, so panics naming an owner read well.
-func (p *Proc) String() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Go starts fn as a new process at the current virtual time. The process
-// begins executing when the kernel reaches its start event.
-func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	if e.terminated {
-		panic("sim: Go after environment drained")
-	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.nprocs++
-	e.schedule(e.now, func() { e.start(p, fn) })
-	return p
-}
-
-// start launches the process goroutine and waits for it to park or end.
-func (e *Env) start(p *Proc, fn func(*Proc)) {
-	//detlint:allow the one process-launch point of the kernel: the goroutine immediately synchronizes on the yield channel, so exactly one process runs at a time
-	go func() {
-		defer func() {
-			p.done = true
-			e.nprocs--
-			if r := recover(); r != nil {
-				if _, ok := r.(terminationSentinel); !ok {
-					// Re-panic on the kernel goroutine would be nicer, but
-					// a real bug in process code should crash loudly here.
-					panic(r)
-				}
-			}
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	<-e.yield
-}
-
-// pushParked appends p to the parked list.
-func (e *Env) pushParked(p *Proc) {
-	p.parked = true
-	p.parkedPrev = e.parkedTail
-	p.parkedNext = nil
-	if e.parkedTail != nil {
-		e.parkedTail.parkedNext = p
-	} else {
-		e.parkedHead = p
-	}
-	e.parkedTail = p
-}
-
-// removeParked unlinks p from the parked list; a no-op if p is not on it.
-func (e *Env) removeParked(p *Proc) {
-	if !p.parked {
-		return
-	}
-	if p.parkedPrev != nil {
-		p.parkedPrev.parkedNext = p.parkedNext
-	} else {
-		e.parkedHead = p.parkedNext
-	}
-	if p.parkedNext != nil {
-		p.parkedNext.parkedPrev = p.parkedPrev
-	} else {
-		e.parkedTail = p.parkedPrev
-	}
-	p.parkedPrev, p.parkedNext = nil, nil
-	p.parked = false
-}
-
-// wake resumes a parked process on the kernel goroutine and blocks until
-// it parks again or finishes.
-func (e *Env) wake(p *Proc) {
-	e.removeParked(p)
-	p.resume <- struct{}{}
-	<-e.yield
-}
-
-// park hands control to the kernel and blocks until resumed. It panics
-// with a termination sentinel if the environment drained while parked.
-func (p *Proc) park() {
-	p.env.pushParked(p)
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.env.terminated {
-		panic(terminationSentinel{})
-	}
-}
-
-// Deliver resumes the parked process: it makes a Proc a Message, so a
-// process waits on any primitive that queues Message waiters by
-// queueing itself and calling Park. Delivering a process that is not
-// parked corrupts the kernel state.
-func (p *Proc) Deliver(Time) { p.env.wake(p) }
-
-// Sleep blocks the process for virtual duration d. The wake-up is a
-// pooled, closure-free message event: steady-state sleeping allocates
-// nothing.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	p.env.PostMsg(p.env.now.Add(d), p)
-	p.park()
-}
-
-// Yield lets every other runnable process scheduled at the current time
-// run before p continues. Equivalent to Sleep(0) but states intent.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Park blocks the process until its Deliver runs: queue p as a waiter
-// (Gate.Wait, Resource.Acquire, ...) or post it, then Park.
-func (p *Proc) Park() { p.park() }

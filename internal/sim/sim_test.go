@@ -9,13 +9,36 @@ import (
 	"time"
 )
 
-// acquire takes a unit of res for process p, parking while none is
-// free: a woken waiter competes again, exactly as the Message contract
-// asks.
-func acquire(res *Resource, p *Proc) {
-	for !res.Acquire(p) {
-		p.Park()
+// task is a test Message driven as a continuation: each delivery runs
+// the step it currently points at. A pointer, it can own a Resource
+// unit and wait on any primitive that queues Message waiters.
+type task struct{ step func() }
+
+func (k *task) Deliver(Time) { k.step() }
+
+// acquire takes a unit of res for k and then runs then. While no unit
+// is free k stays queued, and a woken k competes again, exactly as the
+// Message contract asks.
+func acquire(res *Resource, k *task, then func()) {
+	k.step = func() {
+		if res.Acquire(k) {
+			then()
+		}
 	}
+	k.step()
+}
+
+// loop arms fn as a periodic callback the way the cold-path loops do: a
+// start event at the current instant arms the first tick one period
+// later, and each tick re-arms the next until fn reports false.
+func loop(env *Env, period time.Duration, fn func() bool) {
+	var tick func()
+	tick = func() {
+		if fn() {
+			env.After(period, tick)
+		}
+	}
+	env.After(0, func() { env.After(period, tick) })
 }
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -25,12 +48,13 @@ func TestClockStartsAtZero(t *testing.T) {
 	}
 }
 
+// TestSleepAdvancesClock: a callback that sleeps 3s by re-arming itself
+// wakes at 3s, and Run returns the clock of the last event.
 func TestSleepAdvancesClock(t *testing.T) {
 	env := NewEnv()
 	var woke Time
-	env.Go("sleeper", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		woke = p.Now()
+	env.After(0, func() {
+		env.After(3*time.Second, func() { woke = env.Now() })
 	})
 	end := env.Run()
 	if woke != Time(3*time.Second) {
@@ -44,11 +68,9 @@ func TestSleepAdvancesClock(t *testing.T) {
 func TestSequentialSleeps(t *testing.T) {
 	env := NewEnv()
 	var marks []Time
-	env.Go("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Second)
-			marks = append(marks, p.Now())
-		}
+	loop(env, time.Second, func() bool {
+		marks = append(marks, env.Now())
+		return len(marks) < 3
 	})
 	env.Run()
 	want := []Time{Time(time.Second), Time(2 * time.Second), Time(3 * time.Second)}
@@ -62,17 +84,18 @@ func TestSequentialSleeps(t *testing.T) {
 	}
 }
 
+// TestParallelProcessesInterleaveDeterministically: loops armed in
+// order a, b, c wake in that order at every shared instant.
 func TestParallelProcessesInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		env := NewEnv()
 		var order []string
 		for _, name := range []string{"a", "b", "c"} {
-			name := name
-			env.Go(name, func(p *Proc) {
-				p.Sleep(time.Second)
-				order = append(order, name+"1")
-				p.Sleep(time.Second)
-				order = append(order, name+"2")
+			ticks := 0
+			loop(env, time.Second, func() bool {
+				ticks++
+				order = append(order, fmt.Sprint(name, ticks))
+				return ticks < 2
 			})
 		}
 		env.Run()
@@ -80,17 +103,12 @@ func TestParallelProcessesInterleaveDeterministically(t *testing.T) {
 	}
 	first := run()
 	want := []string{"a1", "b1", "c1", "a2", "b2", "c2"}
-	for i := range want {
-		if first[i] != want[i] {
-			t.Fatalf("order = %v, want %v", first, want)
-		}
+	if fmt.Sprint(first) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", first, want)
 	}
 	for trial := 0; trial < 5; trial++ {
-		again := run()
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("nondeterministic order: %v vs %v", again, first)
-			}
+		if again := run(); fmt.Sprint(again) != fmt.Sprint(first) {
+			t.Fatalf("nondeterministic order: %v vs %v", again, first)
 		}
 	}
 }
@@ -119,20 +137,12 @@ func TestEventBroadcast(t *testing.T) {
 	ev := NewEvent(env)
 	var woke []string
 	for _, name := range []string{"w1", "w2"} {
-		name := name
-		env.Go(name, func(p *Proc) {
-			ev.Wait(p)
-			p.Park()
-			woke = append(woke, name)
-		})
+		ev.Wait(&waiterMsg{name: name, log: &woke})
 	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(time.Second)
-		ev.Fire()
-	})
+	env.After(time.Second, ev.Fire)
 	env.Run()
-	if len(woke) != 2 || woke[0] != "w1" || woke[1] != "w2" {
-		t.Errorf("woke = %v, want [w1 w2]", woke)
+	if want := []string{"w1@1s", "w2@1s"}; fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Errorf("woke = %v, want %v", woke, want)
 	}
 	if !ev.Fired() {
 		t.Error("event not marked fired")
@@ -143,16 +153,11 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	env := NewEnv()
 	ev := NewEvent(env)
 	ev.Fire()
-	var at Time
-	env.Go("late", func(p *Proc) {
-		p.Sleep(time.Second)
-		ev.Wait(p)
-		p.Park()
-		at = p.Now()
-	})
+	var woke []string
+	env.After(time.Second, func() { ev.Wait(&waiterMsg{name: "late", log: &woke}) })
 	env.Run()
-	if at != Time(time.Second) {
-		t.Errorf("late waiter resumed at %v, want 1s", at)
+	if len(woke) != 1 || woke[0] != "late@1s" {
+		t.Errorf("late waiter resumed as %v, want [late@1s]", woke)
 	}
 }
 
@@ -166,24 +171,39 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 func TestGateReusable(t *testing.T) {
 	env := NewEnv()
 	g := NewGate(env)
-	var wakes int
-	env.Go("waiter", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			g.Wait(p)
-			p.Park()
-			wakes++
+	var wakes []Time
+	w := &task{}
+	w.step = func() {
+		wakes = append(wakes, env.Now())
+		if len(wakes) < 3 {
+			g.Wait(w)
 		}
-	})
-	env.Go("notifier", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Second)
-			g.Notify()
-		}
+	}
+	g.Wait(w)
+	notified := 0
+	loop(env, time.Second, func() bool {
+		g.Notify()
+		notified++
+		return notified < 3
 	})
 	env.Run()
-	if wakes != 3 {
-		t.Errorf("wakes = %d, want 3", wakes)
+	want := []Time{Time(time.Second), Time(2 * time.Second), Time(3 * time.Second)}
+	if fmt.Sprint(wakes) != fmt.Sprint(want) {
+		t.Errorf("wakes = %v, want %v", wakes, want)
 	}
+}
+
+// hold acquires res for a new task, holds it for d, then releases it
+// and reports the held span to done.
+func hold(env *Env, res *Resource, d time.Duration, done func(start, end Time)) {
+	k := &task{}
+	acquire(res, k, func() {
+		start := env.Now()
+		env.After(d, func() {
+			res.Release(k)
+			done(start, env.Now())
+		})
+	})
 }
 
 func TestResourceMutualExclusion(t *testing.T) {
@@ -191,12 +211,10 @@ func TestResourceMutualExclusion(t *testing.T) {
 	res := NewResource(env, "gpu", 1)
 	var spans [][2]Time
 	for i := 0; i < 3; i++ {
-		env.Go("user", func(p *Proc) {
-			acquire(res, p)
-			start := p.Now()
-			p.Sleep(time.Second)
-			res.Release(p)
-			spans = append(spans, [2]Time{start, p.Now()})
+		env.After(0, func() {
+			hold(env, res, time.Second, func(start, end Time) {
+				spans = append(spans, [2]Time{start, end})
+			})
 		})
 	}
 	env.Run()
@@ -218,11 +236,8 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	res := NewResource(env, "bus", 2)
 	var finished []Time
 	for i := 0; i < 4; i++ {
-		env.Go("user", func(p *Proc) {
-			acquire(res, p)
-			p.Sleep(time.Second)
-			res.Release(p)
-			finished = append(finished, p.Now())
+		env.After(0, func() {
+			hold(env, res, time.Second, func(_, end Time) { finished = append(finished, end) })
 		})
 	}
 	end := env.Run()
@@ -239,17 +254,19 @@ func TestResourceFIFOOrder(t *testing.T) {
 	res := NewResource(env, "r", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		env.Go("u", func(p *Proc) {
-			// Stagger arrivals so the queue order is unambiguous.
-			p.Sleep(time.Duration(i) * time.Millisecond)
-			acquire(res, p)
-			order = append(order, i)
-			p.Sleep(time.Second)
-			res.Release(p)
+		// Stagger arrivals so the queue order is unambiguous.
+		env.After(time.Duration(i)*time.Millisecond, func() {
+			k := &task{}
+			acquire(res, k, func() {
+				order = append(order, i)
+				env.After(time.Second, func() { res.Release(k) })
+			})
 		})
 	}
 	env.Run()
+	if len(order) != 5 {
+		t.Fatalf("served %d of 5", len(order))
+	}
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("service order = %v, want ascending", order)
@@ -260,15 +277,12 @@ func TestResourceFIFOOrder(t *testing.T) {
 func TestTryAcquire(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	var first, second bool
-	env.Go("p", func(p *Proc) {
-		first = res.TryAcquire(p)
-		second = res.TryAcquire(p)
-		if first {
-			res.Release(p)
-		}
-	})
-	env.Run()
+	k := &task{}
+	first := res.TryAcquire(k)
+	second := res.TryAcquire(k)
+	if first {
+		res.Release(k)
+	}
 	if !first || second {
 		t.Errorf("TryAcquire = %v, %v; want true, false", first, second)
 	}
@@ -277,46 +291,20 @@ func TestTryAcquire(t *testing.T) {
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	var recovered bool
-	env.Go("p", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				recovered = true
-			}
-		}()
-		res.Release(p)
-	})
-	env.Run()
-	if !recovered {
-		t.Error("no panic on unpaired Release")
-	}
-}
-
-func TestRunDrainsBlockedProcesses(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	env.Go("stuck", func(p *Proc) {
-		ev.Wait(p) // never fired
-		p.Park()
-		t.Error("stuck process resumed normally")
-	})
-	env.Run()
-	if env.Procs() != 0 {
-		t.Errorf("procs remaining = %d, want 0", env.Procs())
-	}
-	if !env.Terminated() {
-		t.Error("env not terminated after Run")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on unpaired Release")
+		}
+	}()
+	res.Release(&task{})
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	env := NewEnv()
 	var ticks int
-	env.Go("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(time.Second)
-			ticks++
-		}
+	loop(env, time.Second, func() bool {
+		ticks++
+		return ticks < 10
 	})
 	got := env.RunUntil(Time(3500 * time.Millisecond))
 	if ticks != 3 {
@@ -329,7 +317,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	env := NewEnv()
-	env.Go("p", func(p *Proc) { p.Sleep(time.Second) })
+	env.After(time.Second, func() {})
 	env.Run()
 	defer func() {
 		if recover() == nil {
@@ -339,23 +327,19 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	env.schedule(0, func() {})
 }
 
+// TestYieldLetsPeersRun: a callback yields by re-arming its rest with
+// After(0), which runs behind every event already due at the instant.
 func TestYieldLetsPeersRun(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Go("a", func(p *Proc) {
+	env.After(0, func() {
 		order = append(order, "a-start")
-		p.Yield()
-		order = append(order, "a-end")
+		env.After(0, func() { order = append(order, "a-end") })
 	})
-	env.Go("b", func(p *Proc) {
-		order = append(order, "b")
-	})
+	env.After(0, func() { order = append(order, "b") })
 	env.Run()
-	want := []string{"a-start", "b", "a-end"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []string{"a-start", "b", "a-end"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
@@ -388,7 +372,7 @@ func TestEventHeapOrderProperty(t *testing.T) {
 }
 
 // TestRandomResourceWorkloadConserves checks that an arbitrary mix of
-// sleeps and resource uses completes every process exactly once and
+// delays and resource uses completes every worker exactly once and
 // never exceeds capacity.
 func TestRandomResourceWorkloadConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -405,15 +389,17 @@ func TestRandomResourceWorkloadConserves(t *testing.T) {
 		maxInUse := 0
 		for i := 0; i < n; i++ {
 			d := durs[i]
-			env.Go("w", func(p *Proc) {
-				p.Sleep(d / 2)
-				acquire(res, p)
-				if res.InUse() > maxInUse {
-					maxInUse = res.InUse()
-				}
-				p.Sleep(d)
-				res.Release(p)
-				completed++
+			env.After(d/2, func() {
+				k := &task{}
+				acquire(res, k, func() {
+					if res.InUse() > maxInUse {
+						maxInUse = res.InUse()
+					}
+					env.After(d, func() {
+						res.Release(k)
+						completed++
+					})
+				})
 			})
 		}
 		env.Run()
@@ -442,26 +428,17 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestReopenRunsSecondRound(t *testing.T) {
+// TestRunContinuesAcrossRounds: Run may be called again after the queue
+// empties, and the clock continues from where the first round ended —
+// the warm restart serving layers use for consecutive streams.
+func TestRunContinuesAcrossRounds(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Go("first", func(p *Proc) {
-		p.Sleep(time.Second)
-		order = append(order, "first")
-	})
-	env.Run()
-	if !env.Terminated() {
-		t.Fatal("env not terminated after Run")
+	env.After(time.Second, func() { order = append(order, "first") })
+	if end := env.Run(); end != Time(time.Second) {
+		t.Fatalf("clock = %v after first round, want 1s", end)
 	}
-	env.Reopen()
-	if env.Terminated() {
-		t.Fatal("env still terminated after Reopen")
-	}
-	// The clock continues: the second round starts where the first ended.
-	env.Go("second", func(p *Proc) {
-		p.Sleep(time.Second)
-		order = append(order, "second")
-	})
+	env.After(time.Second, func() { order = append(order, "second") })
 	end := env.Run()
 	if end != Time(2*time.Second) {
 		t.Errorf("clock = %v after second round, want 2s", end)
@@ -469,15 +446,6 @@ func TestReopenRunsSecondRound(t *testing.T) {
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v", order)
 	}
-}
-
-func TestReopenBeforeDrainPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Reopen on a fresh env did not panic")
-		}
-	}()
-	NewEnv().Reopen()
 }
 
 func TestCancelRevokesPendingTimer(t *testing.T) {
@@ -518,7 +486,6 @@ func TestCancelStaleHandleDoesNotKillReusedEvent(t *testing.T) {
 	stale := env.AfterFunc(time.Second, func() {})
 	env.Run()
 
-	env.Reopen()
 	fired := false
 	env.AfterFunc(time.Second, func() { fired = true })
 	if env.Cancel(stale) {
@@ -569,19 +536,19 @@ func TestHeapPopClearsIndex(t *testing.T) {
 	}
 }
 
-// TestSleepSteadyStateAllocations pins the pooled, closure-free kernel
-// hot path: a full ping-pong workload (1000 sleeps across 4 processes)
-// must stay well under the ~2 allocations per sleep the closure-based
-// kernel paid. The budget covers environment construction, goroutine
-// stacks, and heap growth — not per-sleep garbage.
+// TestSleepSteadyStateAllocations pins the pooled kernel hot path for
+// periodic loops: 1000 wakes across 4 self-rescheduling callbacks must
+// stay well under the ~2 allocations per wake the closure-based kernel
+// paid. The budget covers environment construction, each loop's
+// closures, and heap growth — not per-wake garbage.
 func TestSleepSteadyStateAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		env := NewEnv()
 		for i := 0; i < 4; i++ {
-			env.Go("p", func(p *Proc) {
-				for s := 0; s < 250; s++ {
-					p.Sleep(time.Millisecond)
-				}
+			n := 0
+			loop(env, time.Millisecond, func() bool {
+				n++
+				return n < 250
 			})
 		}
 		env.Run()
@@ -591,10 +558,10 @@ func TestSleepSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestEventPoolReuseAcrossReopen checks warm restarts reuse the free
-// list: a second identical round on a reopened environment should not
+// TestEventPoolReuseAcrossRuns checks warm restarts reuse the free
+// list: a second identical round on the same environment should not
 // allocate per-event.
-func TestEventPoolReuseAcrossReopen(t *testing.T) {
+func TestEventPoolReuseAcrossRuns(t *testing.T) {
 	env := NewEnv()
 	round := func() {
 		for i := 0; i < 100; i++ {
@@ -603,13 +570,9 @@ func TestEventPoolReuseAcrossReopen(t *testing.T) {
 		env.Run()
 	}
 	round()
-	env.Reopen()
-	allocs := testing.AllocsPerRun(1, func() {
-		round()
-		env.Reopen()
-	})
+	allocs := testing.AllocsPerRun(1, round)
 	if allocs > 10 {
-		t.Errorf("reopened round allocated %.0f objects, want <= 10", allocs)
+		t.Errorf("second round allocated %.0f objects, want <= 10", allocs)
 	}
 }
 
@@ -673,7 +636,6 @@ func TestPostMsgSteadyStateAllocations(t *testing.T) {
 		m.hops = 1000
 		env.PostMsg(env.Now(), m)
 		env.Run()
-		env.Reopen()
 	}
 	round()
 	if allocs := testing.AllocsPerRun(3, round); allocs > 0 {
@@ -726,7 +688,7 @@ func TestGateAndEventPostWaitersInOrder(t *testing.T) {
 // TestResourceWokenWaiterReacquires: a release posts the head waiter
 // without reserving the unit for it, so an owner that takes the unit
 // before the waiter runs wins, and the woken waiter's Acquire queues it
-// again at the tail — exactly a blocked process's re-check loop.
+// again at the tail — an executor's re-check on every wake.
 func TestResourceWokenWaiterReacquires(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)

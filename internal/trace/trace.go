@@ -52,47 +52,27 @@ type Event struct {
 	Detail  string        `json:"detail,omitempty"`  // e.g. load source
 }
 
-// Log is an append-only event recorder. The zero value records
-// unboundedly; NewBounded caps retention (oldest events are dropped).
-// Log is not safe for concurrent use — the simulation is single-threaded.
+// Log is an append-only event recorder; it keeps every event. The zero
+// value is ready to use. Log is not safe for concurrent use — the
+// simulation is single-threaded.
 type Log struct {
-	events  []Event
-	limit   int
-	dropped int64
+	events []Event
 }
 
-// New returns an unbounded log.
+// New returns an empty log.
 func New() *Log { return &Log{} }
 
-// NewBounded returns a log that retains at most limit events.
-func NewBounded(limit int) *Log {
-	if limit < 1 {
-		panic("trace: bound must be >= 1")
-	}
-	return &Log{limit: limit}
-}
-
 // Add appends an event.
-func (l *Log) Add(ev Event) {
-	if l.limit > 0 && len(l.events) >= l.limit {
-		copy(l.events, l.events[1:])
-		l.events = l.events[:len(l.events)-1]
-		l.dropped++
-	}
-	l.events = append(l.events, ev)
-}
+func (l *Log) Add(ev Event) { l.events = append(l.events, ev) }
 
-// Len reports the number of retained events.
+// Len reports the number of recorded events.
 func (l *Log) Len() int { return len(l.events) }
 
-// Dropped reports how many events a bounded log discarded.
-func (l *Log) Dropped() int64 { return l.dropped }
-
-// Events returns the retained events in order. Callers must not modify
+// Events returns the recorded events in order. Callers must not modify
 // the returned slice.
 func (l *Log) Events() []Event { return l.events }
 
-// Filter returns the retained events of one kind.
+// Filter returns the recorded events of one kind.
 func (l *Log) Filter(kind Kind) []Event {
 	var out []Event
 	for _, ev := range l.events {
@@ -103,7 +83,7 @@ func (l *Log) Filter(kind Kind) []Event {
 	return out
 }
 
-// Count reports the number of retained events of one kind.
+// Count reports the number of recorded events of one kind.
 func (l *Log) Count(kind Kind) int {
 	n := 0
 	for _, ev := range l.events {

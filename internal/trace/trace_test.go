@@ -36,31 +36,6 @@ func TestAddAndFilter(t *testing.T) {
 	}
 }
 
-func TestBoundedLogDropsOldest(t *testing.T) {
-	l := NewBounded(3)
-	for i := 0; i < 5; i++ {
-		l.Add(Event{At: time.Duration(i), Kind: KindArrival, Request: int64(i)})
-	}
-	if l.Len() != 3 {
-		t.Fatalf("len = %d, want 3", l.Len())
-	}
-	if l.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", l.Dropped())
-	}
-	if l.Events()[0].Request != 2 {
-		t.Errorf("oldest retained = %d, want 2", l.Events()[0].Request)
-	}
-}
-
-func TestNewBoundedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero bound")
-		}
-	}()
-	NewBounded(0)
-}
-
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLog().WriteCSV(&buf); err != nil {

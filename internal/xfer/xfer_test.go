@@ -61,20 +61,42 @@ func TestFigure1SwitchingShares(t *testing.T) {
 	}
 }
 
-// load drives a transfer from process p: each leg's resource is
-// acquired (parking while it is busy), held, and released in turn.
-func load(p *sim.Proc, eng *Engine, src Source, dst memory.Tier, bytes int64) time.Duration {
-	start := p.Now()
-	tr := eng.Plan(src, dst, bytes)
-	for _, leg := range tr.Legs() {
-		for !leg.Res.Acquire(p) {
-			p.Park()
+// loader drives one transfer the way an executor does, as a Message
+// the kernel steps through the legs: acquire each leg's resource
+// (queueing while it is busy), hold it, release it; then Finish and
+// report the elapsed time, queueing included.
+type loader struct {
+	env   *sim.Env
+	eng   *Engine
+	tr    Transfer
+	leg   int
+	held  bool
+	start sim.Time
+	done  func(elapsed time.Duration)
+}
+
+// load plans a transfer and starts driving it at the current instant.
+func load(env *sim.Env, eng *Engine, src Source, dst memory.Tier, bytes int64, done func(time.Duration)) {
+	l := &loader{env: env, eng: eng, tr: eng.Plan(src, dst, bytes), start: env.Now(), done: done}
+	l.Deliver(env.Now())
+}
+
+func (l *loader) Deliver(now sim.Time) {
+	for legs := l.tr.Legs(); l.leg < len(legs); l.leg++ {
+		leg := legs[l.leg]
+		if !l.held {
+			if !leg.Res.Acquire(l) {
+				return // posted again when a unit frees
+			}
+			l.held = true
+			l.env.PostMsg(now.Add(leg.Hold), l)
+			return
 		}
-		p.Sleep(leg.Hold)
-		leg.Res.Release(p)
+		leg.Res.Release(l)
+		l.held = false
 	}
-	eng.Finish(&tr)
-	return p.Now().Sub(start)
+	l.eng.Finish(&l.tr)
+	l.done(now.Sub(l.start))
 }
 
 func TestEngineMatchesModelWithoutContention(t *testing.T) {
@@ -83,9 +105,7 @@ func TestEngineMatchesModelWithoutContention(t *testing.T) {
 	eng := NewEngine(env, d)
 	bytes := model.YOLOv5m.WeightBytes()
 	var got time.Duration
-	env.Go("loader", func(p *sim.Proc) {
-		got = load(p, eng, FromSSD, memory.TierGPU, bytes)
-	})
+	load(env, eng, FromSSD, memory.TierGPU, bytes, func(d time.Duration) { got = d })
 	env.Run()
 	want := LoadLatency(d, FromSSD, memory.TierGPU, bytes)
 	if got != want {
@@ -106,9 +126,8 @@ func TestEngineLimitsConcurrentSSDLoads(t *testing.T) {
 	single := LoadLatency(d, FromSSD, memory.TierCPU, bytes)
 	var finish []sim.Time
 	for i := 0; i < n; i++ {
-		env.Go("loader", func(p *sim.Proc) {
-			load(p, eng, FromSSD, memory.TierCPU, bytes)
-			finish = append(finish, p.Now())
+		load(env, eng, FromSSD, memory.TierCPU, bytes, func(time.Duration) {
+			finish = append(finish, env.Now())
 		})
 	}
 	end := env.Run()
@@ -133,13 +152,8 @@ func TestEngineHostLoadsUseSeparateLink(t *testing.T) {
 	eng := NewEngine(env, d)
 	bytes := model.ResNet101.WeightBytes()
 	var hostDone sim.Time
-	env.Go("ssd", func(p *sim.Proc) {
-		load(p, eng, FromSSD, memory.TierCPU, bytes) // loader stage only
-	})
-	env.Go("host", func(p *sim.Proc) {
-		load(p, eng, FromHost, memory.TierGPU, bytes)
-		hostDone = p.Now()
-	})
+	load(env, eng, FromSSD, memory.TierCPU, bytes, func(time.Duration) {}) // loader stage only
+	load(env, eng, FromHost, memory.TierGPU, bytes, func(time.Duration) { hostDone = env.Now() })
 	env.Run()
 	hostOnly := LoadLatency(d, FromHost, memory.TierGPU, bytes)
 	if hostDone != sim.Time(hostOnly) {
