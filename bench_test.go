@@ -70,11 +70,19 @@ func BenchmarkExtArrivalSweep(b *testing.B) { benchExperiment(b, "ext-arrival") 
 // uncached context per iteration — sequentially and fanned out across
 // all cores through the parallel run engine. The wall-clock ratio of
 // the two sub-benchmarks is the speedup recorded in
-// BENCH_experiments.json; the outputs are byte-identical (asserted by
-// TestParallelOutputByteIdentical in internal/experiments).
+// BENCH_experiments.json, which also gates their allocs/op and
+// bytes/op; the outputs are byte-identical (asserted by
+// TestParallelOutputByteIdentical in internal/experiments). The
+// all-cores row is named parallel=all, not by its worker count, so the
+// baselined row names do not depend on the machine.
 func BenchmarkAllExperiments(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
+	for _, run := range []struct {
+		name    string
+		workers int
+	}{{"1", 1}, {"all", runtime.GOMAXPROCS(0)}} {
+		workers := run.workers
+		b.Run("parallel="+run.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx := coserve.NewExperimentContext()
 				ctx.SetParallel(workers)
@@ -663,8 +671,9 @@ func BenchmarkFleetServe(b *testing.B) {
 // crash/redeliver machinery; the gray one prices the full mitigation
 // stack against a fail-slow straggler. Absolute allocs/op and bytes/op
 // are the regression gate pinned in BENCH_chaos.json (`make
-// bench-chaos` regenerates and checks it) — the chaos layer must stay
-// cheap enough that arming it is never a serving-path tax.
+// bench-chaos` regenerates and checks it) — fault injection and the
+// gray-failure mitigations must stay cheap enough that arming them is
+// never a serving-path tax.
 func BenchmarkChaosServe(b *testing.B) {
 	dev := hw.NUMADevice()
 	board, err := workload.BoardA().Build()

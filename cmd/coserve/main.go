@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -357,6 +358,9 @@ func cmdServe(args []string) error {
 	}
 	if *nodes < 1 {
 		return fmt.Errorf("nodes must be at least 1")
+	}
+	if !(*fleetScale >= 0) || math.IsInf(*fleetScale, 1) {
+		return fmt.Errorf("-fleet-autoscale must be a finite rate >= 0 (0 = off), got %v", *fleetScale)
 	}
 	if (*chaosSpec != "" || *chaosMTBF > 0 || *clusterAdmit != "" || *fleetScale > 0 ||
 		*healthWindow > 0 || *hedgeAfter > 0 || *interconnect != "") && *nodes < 2 {

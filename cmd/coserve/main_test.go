@@ -44,6 +44,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-nodes", "0"},
 		{"serve", "-nodes", "2", "-router", "telepathic"},
 		{"serve", "-nodes", "2", "-placement", "everywhere"},
+		{"serve", "-nodes", "2", "-window", "1s", "-fleet-autoscale", "Inf"},
+		{"serve", "-nodes", "2", "-window", "1s", "-fleet-autoscale", "NaN"},
+		{"serve", "-nodes", "2", "-window", "1s", "-fleet-autoscale", "-5"},
 		{"serve", "-arrival", "replay"}, // replay without -trace
 		{"serve", "-arrival", "replay", "-trace", "/does/not/exist"},
 	}

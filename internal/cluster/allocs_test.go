@@ -93,12 +93,12 @@ func TestInterconnectCrashWalkListsStayBounded(t *testing.T) {
 	var peakLive, peakListed int
 	var sample func()
 	sample = func() {
-		cs := c.chaos
+		lg := c.ledger
 		listed := 0
-		for _, ids := range cs.byNode {
+		for _, ids := range lg.byNode {
 			listed += len(ids)
 		}
-		peakLive = max(peakLive, len(cs.ledger))
+		peakLive = max(peakLive, len(lg.live))
 		peakListed = max(peakListed, listed)
 		if !c.closedAll {
 			c.env.After(10*time.Millisecond, sample)
@@ -119,5 +119,31 @@ func TestInterconnectCrashWalkListsStayBounded(t *testing.T) {
 	if bound := 2*peakLive + 8*len(c.nodes); peakListed > bound {
 		t.Errorf("crash-walk lists peaked at %d entries, want <= %d (2 x the %d in-flight peak + slack)",
 			peakListed, bound, peakLive)
+	}
+}
+
+// TestFilteredPickAllocatesNothing pins the routed path off the fast
+// path: once a node drains or a breaker restricts one, every arrival
+// filters the fleet through collect, and every hedge does so always.
+// The breaker predicates reach collect as method expressions, so
+// neither filter allocates per call.
+func TestFilteredPickAllocatesNothing(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	c := buildCluster(t, icConfig(t, nil, grayHealth, HedgeConfig{After: time.Second}), board.Model)
+	c.health = newHealthState(grayHealth.withDefaults(), len(c.nodes))
+	c.nodes[3].sys.Drain()
+	c.unroutable++
+	tr, ok := poissonFor(t, board, 10, 1, 1).Next()
+	if !ok {
+		t.Fatal("empty stream")
+	}
+	l := &lease{id: tr.Req.ID, class: tr.Req.Class, chain: tr.Req.Chain, node: 0, hedgeNode: -1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if c.pickNode(0, tr.Req) < 0 || c.pickHedgeNode(0, l) < 1 {
+			t.Fatal("no eligible node picked")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filtered picks allocate %.1f per call, want 0", allocs)
 	}
 }

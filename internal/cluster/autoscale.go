@@ -41,10 +41,12 @@ type RateFleetScaler struct {
 }
 
 // NewRateFleetScaler returns a rate-driven fleet scaler targeting
-// perNode arrivals per second per node.
+// perNode arrivals per second per node. The rate must be positive and
+// finite: at +Inf every rate/perNode is 0 and the fleet would drain to
+// one node.
 func NewRateFleetScaler(perNode float64) (*RateFleetScaler, error) {
-	if perNode <= 0 {
-		return nil, fmt.Errorf("cluster: RateFleetScaler needs a positive per-node rate, got %v", perNode)
+	if !(perNode > 0) || math.IsInf(perNode, 1) {
+		return nil, fmt.Errorf("cluster: RateFleetScaler needs a positive, finite per-node rate, got %v", perNode)
 	}
 	return &RateFleetScaler{PerNode: perNode, ShrinkAt: 0.7}, nil
 }
@@ -58,10 +60,7 @@ func (s *RateFleetScaler) Scale(now sim.Time, w metrics.Window, interval time.Du
 		return active
 	}
 	rate := float64(w.Arrivals) / interval.Seconds()
-	need := int(math.Ceil(rate / s.PerNode))
-	if need < 1 {
-		need = 1
-	}
+	need := max(int(math.Ceil(rate/s.PerNode)), 1)
 	if need > active {
 		return need // scale up immediately: attainment is on the line
 	}

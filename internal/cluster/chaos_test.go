@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -328,8 +329,10 @@ func TestRateFleetScalerHysteresis(t *testing.T) {
 	if got := s.Scale(0, w(0), sec, 3, 8); got != 1 {
 		t.Errorf("idle fleet: scale = %d, want 1 (never zero)", got)
 	}
-	if _, err := NewRateFleetScaler(0); err == nil {
-		t.Error("zero per-node rate accepted")
+	for _, rate := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		if _, err := NewRateFleetScaler(rate); err == nil {
+			t.Errorf("per-node rate %v accepted", rate)
+		}
 	}
 
 	// The band edge is strict: shrinking from 4 to 2 requires rate <

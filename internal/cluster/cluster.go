@@ -97,7 +97,7 @@ type Config struct {
 	// every serve path byte-identical to the health-free cluster.
 	Health HealthConfig
 	// Hedge enables per-request deadline timeouts with hedged
-	// redelivery over the chaos layer's lease ledger. The zero value
+	// redelivery over the front end's lease ledger. The zero value
 	// disables it.
 	Hedge HedgeConfig
 
@@ -122,6 +122,7 @@ func Uniform(n int, node core.Config) []core.Config {
 // the read-only view routers consult.
 type Node struct {
 	id  string
+	idx int // position in the fleet
 	sys *core.System
 }
 
@@ -179,9 +180,9 @@ type Cluster struct {
 	due      workload.TimedRequest
 	waiting  bool
 
-	// chaos is the durable-delivery state (lease ledger, redelivery
+	// ledger is the durable-delivery state (live leases, redelivery
 	// queue, exactly-once counters), reset for every stream.
-	chaos *chaosState
+	ledger *ledger
 	// closedAll records that every node's stream has been closed. The
 	// close waits until the ledger and redelivery queue drain, so a
 	// recovered node can still receive redeliveries.
@@ -190,10 +191,9 @@ type Cluster struct {
 	// unroutable counts nodes currently not Up. While it is zero (and
 	// no breaker restricts a node) the router sees c.nodes directly —
 	// the fault-free fast path; otherwise pickNode routes over the
-	// eligible subset in scratch/scratchIdx.
+	// eligible subset collect gathers in scratch.
 	unroutable int
 	scratch    []*Node
-	scratchIdx []int
 
 	// health is the per-stream scoring and breaker state; nil unless
 	// Config.Health is enabled. hedge is Config.Hedge with defaults
@@ -237,7 +237,7 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	for i := range c.latency {
 		c.latency[i] = cfg.Interconnect.NodeLatency(i)
 	}
-	c.chaos = newChaosState(len(cfg.Nodes), cfg.Arena)
+	c.ledger = newLedger(len(cfg.Nodes), cfg.Arena)
 	c.drainOn = make([]bool, len(cfg.Nodes))
 	c.drainStart = make([]sim.Time, len(cfg.Nodes))
 	c.scalerDrained = make([]bool, len(cfg.Nodes))
@@ -292,7 +292,7 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
 		}
-		c.nodes = append(c.nodes, &Node{id: nc.ID, sys: sys})
+		c.nodes = append(c.nodes, &Node{id: nc.ID, idx: i, sys: sys})
 	}
 	c.delegates = make([]nodeDelegate, len(c.nodes))
 	for i := range c.delegates {
@@ -388,16 +388,16 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	c.admit(src)
 	c.env.Run()
 
-	cs := c.chaos
-	cs.verify(c.env.Now(), "stream end")
-	if len(cs.violations) > 0 {
+	lg := c.ledger
+	lg.verify(c.env.Now(), "stream end")
+	if len(lg.violations) > 0 {
 		c.broken = fmt.Errorf("cluster: exactly-once accounting violated:\n  %s",
-			strings.Join(cs.violations, "\n  "))
+			strings.Join(lg.violations, "\n  "))
 		return nil, c.broken
 	}
 	if !c.closedAll {
 		c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
-			src.Name(), len(cs.ledger), len(cs.pending))
+			src.Name(), len(lg.live), len(lg.pending))
 		return nil, c.broken
 	}
 
@@ -421,7 +421,7 @@ func (c *Cluster) beginLifecycle() {
 	c.unroutable, c.draining = 0, 0
 	c.scaleUps, c.scaleDowns = 0, 0
 	c.drainRecords = nil
-	c.chaos.reset()
+	c.ledger.reset()
 	c.health = nil
 	if c.cfg.Health.Enabled() {
 		c.health = newHealthState(c.cfg.Health.withDefaults(), len(c.nodes))
@@ -468,8 +468,8 @@ func (c *Cluster) arrivals() {
 	// The close is deferred: a voided lease may still need redelivery
 	// to a node that has not recovered yet, so the nodes' streams stay
 	// open until every lease has resolved.
-	c.chaos.srcClosed = true
-	c.chaos.verify(now, "source exhausted")
+	c.ledger.srcClosed = true
+	c.ledger.verify(now, "source exhausted")
 	c.maybeClose()
 }
 
@@ -477,71 +477,71 @@ func (c *Cluster) arrivals() {
 // and offers it to a routed node — or parks the lease for redelivery
 // when no node is routable at this instant.
 func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
-	cs := c.chaos
-	cs.arrivals++
+	lg := c.ledger
+	lg.arrivals++
 	if c.cfg.Admission != nil && !c.cfg.Admission.Admit(now, c, tr.Req) {
 		c.recorder.Rejection(now)
-		cs.terminalRejected++
+		lg.terminalRejected++
 		coe.Recycle(tr.Req)
 		return
 	}
-	l := cs.open(tr, now)
+	l := lg.open(tr, now)
 	if !c.offer(now, l, tr.Req) {
-		cs.park(l)
+		lg.park(l)
 	}
 }
 
 // pickNode asks the router for a node. While every node is Up and no
 // breaker restricts one, it routes over the full fleet — the fault-free
-// fast path, unchanged from the pre-chaos cluster; otherwise it
-// presents the router with the eligible subset (Up, and breaker-closed
-// or within a half-open node's probe budget), so a draining, crashed,
-// or quarantined node stops receiving work. When every Up node is
+// fast path, which copies nothing; otherwise it presents the router
+// with the eligible subset (Up, and breaker-closed or within a
+// half-open node's probe budget), so a draining, crashed, or
+// quarantined node stops receiving work. When every Up node is
 // quarantined the breaker yields rather than blackhole the fleet: the
 // router picks over the full Up set. Returns -1 when no node is Up at
 // all (only possible mid-fault).
 func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
 	h := c.health
 	if c.unroutable == 0 && (h == nil || h.restricted == 0) {
-		idx := c.router.Pick(now, c.nodes, r)
-		if idx < 0 || idx >= len(c.nodes) {
-			panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), idx, len(c.nodes)))
-		}
-		return idx
+		return c.pick(now, c.nodes, r)
 	}
-	c.scratch = c.scratch[:0]
-	c.scratchIdx = c.scratchIdx[:0]
-	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp {
-			continue
-		}
-		if h != nil && !h.eligible(i) {
-			continue
-		}
-		c.scratch = append(c.scratch, n)
-		c.scratchIdx = append(c.scratchIdx, i)
-	}
+	c.collect(-1, (*healthState).eligible)
 	if len(c.scratch) == 0 && h != nil && h.restricted > 0 {
 		// Every Up node is quarantined or out of probe budget. Liveness
 		// beats the breaker: route over whatever is Up.
-		for i, n := range c.nodes {
-			if n.sys.State() == core.NodeUp {
-				c.scratch = append(c.scratch, n)
-				c.scratchIdx = append(c.scratchIdx, i)
-			}
-		}
+		c.collect(-1, nil)
 		if len(c.scratch) > 0 {
 			h.bypasses++
 		}
 	}
-	if len(c.scratch) == 0 {
+	return c.pick(now, c.scratch, r)
+}
+
+// collect gathers into scratch, in fleet order, the Up nodes other
+// than node skip that keep admits. keep is a healthState predicate
+// passed as a method expression, so filtering allocates nothing; it is
+// consulted only while health scoring is on, and a nil keep admits
+// every Up node.
+func (c *Cluster) collect(skip int, keep func(*healthState, int) bool) {
+	c.scratch = c.scratch[:0]
+	for i, n := range c.nodes {
+		if i != skip && n.sys.State() == core.NodeUp && (keep == nil || c.health == nil || keep(c.health, i)) {
+			c.scratch = append(c.scratch, n)
+		}
+	}
+}
+
+// pick asks the router to choose among nodes and returns the chosen
+// node's fleet index, or -1 when nodes is empty.
+func (c *Cluster) pick(now sim.Time, nodes []*Node, r *coe.Request) int {
+	if len(nodes) == 0 {
 		return -1
 	}
-	j := c.router.Pick(now, c.scratch, r)
-	if j < 0 || j >= len(c.scratch) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d routable", c.router.Name(), j, len(c.scratch)))
+	j := c.router.Pick(now, nodes, r)
+	if j < 0 || j >= len(nodes) {
+		panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), j, len(nodes)))
 	}
-	return c.scratchIdx[j]
+	return nodes[j].idx
 }
 
 // Queued implements control.View for cluster-level admission: the fleet
@@ -579,14 +579,14 @@ func (c *Cluster) PredictLatency(r *coe.Request) time.Duration {
 // and no lease or parked request remains, so it waits for redelivery
 // to finish. No-op until then.
 func (c *Cluster) maybeClose() {
-	cs := c.chaos
-	if !cs.srcClosed || c.closedAll {
+	lg := c.ledger
+	if !lg.srcClosed || c.closedAll {
 		return
 	}
-	if len(cs.ledger) > 0 || len(cs.pending) > 0 {
+	if len(lg.live) > 0 || len(lg.pending) > 0 {
 		return
 	}
-	if cs.offersInFlight > 0 || cs.hedgeOffers > 0 {
+	if lg.offersInFlight > 0 || lg.hedgeOffers > 0 {
 		// An offer is still on the wire: a primary or redelivery will
 		// open a lease when its fold lands, and even a hedge duplicate
 		// must find its node's stream open to be admitted and drained.

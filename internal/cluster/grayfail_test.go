@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -216,13 +217,19 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 }
 
 // TestHealthConfigValidation: the config seam rejects a breaker without
-// a scoring window and out-of-range knobs.
+// a scoring window and out-of-range knobs, NaN thresholds included (a
+// NaN trip threshold never trips, a NaN restore threshold never
+// reinstates).
 func TestHealthConfigValidation(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	bad := []Config{
 		{Health: HealthConfig{Breaker: true}},
 		{Health: HealthConfig{Window: -time.Second}},
 		{Health: HealthConfig{Window: time.Second, TripBelow: 1.5}},
+		{Health: HealthConfig{Window: time.Second, Breaker: true, TripBelow: math.NaN()}},
+		{Health: HealthConfig{Window: time.Second, Breaker: true, RestoreAbove: math.NaN()}},
+		{Health: HealthConfig{Window: time.Second, Breaker: true, Cooldown: -1}},
+		{Health: HealthConfig{Window: time.Second, Breaker: true, Probes: -1}},
 		{Hedge: HedgeConfig{After: -time.Second}},
 		{Hedge: HedgeConfig{After: time.Second, MaxRetries: -1}},
 	}

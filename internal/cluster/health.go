@@ -66,8 +66,12 @@ func (h HealthConfig) validate() error {
 	if h.Window < 0 {
 		return fmt.Errorf("cluster: Health.Window must be >= 0, got %v", h.Window)
 	}
-	if h.TripBelow < 0 || h.TripBelow > 1 || h.RestoreAbove < 0 || h.RestoreAbove > 1 {
-		return fmt.Errorf("cluster: Health thresholds must be in [0, 1]")
+	// Written so NaN fails too: a NaN threshold never trips or restores.
+	if !(h.TripBelow >= 0 && h.TripBelow <= 1 && h.RestoreAbove >= 0 && h.RestoreAbove <= 1) {
+		return fmt.Errorf("cluster: Health thresholds must be in [0, 1] (TripBelow %v, RestoreAbove %v)", h.TripBelow, h.RestoreAbove)
+	}
+	if h.Cooldown < 0 || h.Probes < 0 {
+		return fmt.Errorf("cluster: Health.Cooldown and Health.Probes must be >= 0 (Cooldown %d, Probes %d)", h.Cooldown, h.Probes)
 	}
 	return nil
 }
@@ -152,6 +156,9 @@ func (h *healthState) eligible(i int) bool {
 	}
 	return false
 }
+
+// closed reports whether node i's breaker is closed.
+func (h *healthState) closed(i int) bool { return h.phase[i] == breakerClosed }
 
 // onAdmit records a successful admission to node i.
 func (h *healthState) onAdmit(i int) {
@@ -277,10 +284,7 @@ func (c *Cluster) healthTick() {
 // freely; it holds its quarantine slot until reinstated.
 func (c *Cluster) breakerTick() {
 	h := c.health
-	maxOpen := len(c.nodes) / 2
-	if maxOpen < 1 {
-		maxOpen = 1
-	}
+	maxOpen := max(len(c.nodes)/2, 1)
 	for i, n := range c.nodes {
 		if n.sys.State() != core.NodeUp {
 			continue
@@ -324,7 +328,7 @@ func (c *Cluster) breakerTick() {
 func (c *Cluster) routableHealthy() int {
 	n := 0
 	for i, node := range c.nodes {
-		if node.sys.State() == core.NodeUp && c.health.phase[i] == breakerClosed {
+		if node.sys.State() == core.NodeUp && c.health.closed(i) {
 			n++
 		}
 	}

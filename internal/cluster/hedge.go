@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/coe"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -13,8 +12,8 @@ import (
 // request still leased After past its admission is speculatively
 // re-offered to a healthy node. First completion wins and resolves the
 // lease; the loser's completion finds no lease and is counted as wasted
-// work, never as a second completion — the exactly-once ledger from the
-// chaos layer is what makes hedging safe to account.
+// work, never as a second completion — the exactly-once lease ledger
+// is what makes hedging safe to account.
 type HedgeConfig struct {
 	// After is the deadline budget: a lease older than this (and not
 	// already hedged) fires a hedge. Zero disables hedging — the
@@ -70,8 +69,7 @@ func (c *Cluster) cancelHedge(l *lease) {
 // budget. The re-offer itself runs from a pooled message posted at the
 // current instant, behind the events already due now.
 func (c *Cluster) hedgeDue(id int64) {
-	cs := c.chaos
-	l := cs.ledger[id]
+	l := c.ledger.live[id]
 	if l == nil || l.node < 0 || l.hedgeNode >= 0 || l.hedgeInFlight {
 		return // resolved, voided, or already hedged since arming
 	}
@@ -88,8 +86,8 @@ func (c *Cluster) hedgeDue(id int64) {
 // the lease untouched and the timer re-arms with exponential backoff,
 // up to MaxRetries.
 func (c *Cluster) fireHedge(now sim.Time, id int64) {
-	cs := c.chaos
-	l := cs.ledger[id]
+	lg := c.ledger
+	l := lg.live[id]
 	if l == nil || l.node < 0 || l.hedgeNode >= 0 || l.hedgeInFlight {
 		return
 	}
@@ -101,7 +99,7 @@ func (c *Cluster) fireHedge(now sim.Time, id int64) {
 	// still ambiguous, so only the breaker's verdict releases a hedge.
 	// Without health armed there is no such signal and the deadline is
 	// trusted as-is.
-	if h := c.health; h != nil && h.phase[l.node] == breakerClosed {
+	if h := c.health; h != nil && h.closed(l.node) {
 		c.rearmHedge(l)
 		return
 	}
@@ -115,8 +113,8 @@ func (c *Cluster) fireHedge(now sim.Time, id int64) {
 	// its fold. A hedge moves no lease between ledger states — one
 	// arrival, one lease, still exactly one completion ahead — so the
 	// invariant must hold unchanged at this boundary.
-	c.postOffer(now, idx, true, cs.leaseRequest(l), l)
-	cs.verify(now, fmt.Sprintf("hedge %d", id))
+	c.postOffer(now, idx, true, lg.leaseRequest(l), l)
+	lg.verify(now, fmt.Sprintf("hedge %d", id))
 }
 
 // rearmHedge backs the deadline off exponentially and re-arms it, or
@@ -126,36 +124,18 @@ func (c *Cluster) rearmHedge(l *lease) {
 		return
 	}
 	l.retries++
-	c.chaos.hedgeRetries++
+	c.ledger.stats.HedgeRetries++
 	c.armHedge(l, c.hedge.After<<uint(l.retries))
 }
 
 // pickHedgeNode routes a hedge copy: the router chooses over Up nodes
 // that are not the primary holder and — when the breaker is armed — not
-// quarantined or probing. Returns -1 when no such node exists.
+// quarantined or probing. Returns -1 when no such node exists. The
+// router only reads the request (ID, class, chain), so the pick runs
+// against a reusable probe built from the lease's own chain copy — no
+// allocation, and the probe never reaches a queue.
 func (c *Cluster) pickHedgeNode(now sim.Time, l *lease) int {
-	c.scratch = c.scratch[:0]
-	c.scratchIdx = c.scratchIdx[:0]
-	for i, n := range c.nodes {
-		if i == l.node || n.sys.State() != core.NodeUp {
-			continue
-		}
-		if c.health != nil && c.health.phase[i] != breakerClosed {
-			continue
-		}
-		c.scratch = append(c.scratch, n)
-		c.scratchIdx = append(c.scratchIdx, i)
-	}
-	if len(c.scratch) == 0 {
-		return -1
-	}
-	// The router only reads the request (ID, class, chain), so the pick
-	// runs against a reusable probe built from the lease's own chain
-	// copy — no allocation, and the probe never reaches a queue.
+	c.collect(l.node, (*healthState).closed)
 	c.probe = coe.Request{ID: l.id, Class: l.class, Chain: l.chain}
-	j := c.router.Pick(now, c.scratch, &c.probe)
-	if j < 0 || j >= len(c.scratch) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d hedge-eligible", c.router.Name(), j, len(c.scratch)))
-	}
-	return c.scratchIdx[j]
+	return c.pick(now, c.scratch, &c.probe)
 }

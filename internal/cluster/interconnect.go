@@ -177,12 +177,12 @@ func (c *Cluster) deliverMsg(m *message, at sim.Time) {
 	switch op {
 	case opOffer:
 		c.nodeOffer(at, idx, hedge, r, l)
-	case opAccept:
-		c.acceptFold(at, idx, hedge, l, receipt)
-	case opReject:
-		c.rejectFold(at, hedge, l)
-	case opBounce:
-		c.bounceFold(at, hedge, r, l)
+	case opAccept, opReject, opBounce:
+		if hedge {
+			c.hedgeFold(at, op, idx, r, l, receipt)
+		} else {
+			c.deliveryFold(at, op, idx, r, l, receipt)
+		}
 	case opCompletion:
 		c.completionFold(at, idx, id)
 	case opHedgeDue:
@@ -194,7 +194,8 @@ func (c *Cluster) deliverMsg(m *message, at sim.Time) {
 // The offer owns the outcome from here — acceptance, terminal
 // rejection, and bounce-driven re-routing all land as folds — so the
 // caller only learns whether a routable node existed at this instant;
-// on false r is recycled and the caller parks the lease.
+// on false r is recycled and the caller parks the lease. A redelivery
+// offers a request rebuilt from the lease's chain copy (leaseRequest).
 func (c *Cluster) offer(now sim.Time, l *lease, r *coe.Request) bool {
 	idx := c.pickNode(now, r)
 	if idx < 0 {
@@ -211,13 +212,12 @@ func (c *Cluster) offer(now sim.Time, l *lease, r *coe.Request) bool {
 // accounting token (its lease is in neither the ledger nor the pending
 // queue meanwhile), a hedge offer carries only duplicate work.
 func (c *Cluster) postOffer(now sim.Time, idx int, hedge bool, r *coe.Request, l *lease) {
-	cs := c.chaos
 	c.routed[idx]++
 	if hedge {
 		l.hedgeInFlight = true
-		cs.hedgeOffers++
+		c.ledger.hedgeOffers++
 	} else {
-		cs.offersInFlight++
+		c.ledger.offersInFlight++
 	}
 	m := c.newMsg(opOffer, idx, hedge, l)
 	m.r = r
@@ -248,48 +248,53 @@ func (c *Cluster) nodeOffer(now sim.Time, idx int, hedge bool, r *coe.Request, l
 	c.send(now, m)
 }
 
-// acceptFold lands a successful admission on the front end: the
-// lease ledger, fleet recorder, health scoring, and hedge arming all
-// advance here.
-func (c *Cluster) acceptFold(now sim.Time, idx int, hedge bool, l *lease, receipt core.Lease) {
-	if receipt.Epoch != c.nodes[idx].sys.Epoch() {
-		c.crashedAcceptFold(now, hedge, l, receipt)
-		return
-	}
-	cs := c.chaos
-	if hedge {
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
-		cs.hedgesFired++
-		if cs.ledger[l.id] == l && l.node >= 0 && l.hedgeNode < 0 {
-			l.hedgeNode = idx
-			cs.track(idx, l.id)
-			if h := c.health; h != nil {
-				h.onAdmit(idx)
-			}
-		} else {
-			// The lease resolved — or was voided into a redelivery — while
-			// the hedge flew. The node admitted a duplicate nobody tracks a
-			// lease for: it is a fired hedge all the same. Record it as an
-			// orphan on its node so its completion counts as hedge waste,
-			// exactly like a lost hedge race, and a crash of the node as a
-			// voided hedge.
-			cs.addOrphan(l.id, idx)
-			cs.track(idx, l.id)
-			cs.releaseIfResolved(l)
+// deliveryFold lands the outcome of a delivery — a lease's first offer
+// or a redelivery — on the front end, where the lease ledger, fleet
+// recorder, health scoring, and hedge arming advance.
+//   - A bounce (the node was not Up on arrival) never reached
+//     admission, so the front end still owns the request and re-routes
+//     it, parking the lease when nothing is routable.
+//   - A rejection is terminal and counted once.
+//   - An admission whose receipt predates the node's current epoch was
+//     voided by a crash while its fold was on the wire: the crash's
+//     lease walk could not see the copy, and the crash purged it (or
+//     voids it when its batch unwinds). It counts as admitted and
+//     voided at this instant, and is redelivered or parked.
+//   - Any other admission makes node idx the lease's holder.
+func (c *Cluster) deliveryFold(now sim.Time, op msgOp, idx int, r *coe.Request, l *lease, receipt core.Lease) {
+	lg := c.ledger
+	lg.offersInFlight--
+	switch {
+	case op == opBounce:
+		lg.stats.Bounced++
+		if !c.offer(now, l, r) {
+			lg.park(l)
 		}
-		c.maybeClose()
-		return
+	case op == opReject:
+		lg.terminalRejected++
+		if l.hasArrival {
+			lg.stats.RedeliveredRejected++
+		} else {
+			c.recorder.Rejection(now)
+		}
+		lg.resolveLease(l)
+	case receipt.Epoch != c.nodes[idx].sys.Epoch():
+		c.landed(now, l, receipt)
+		l.voidedAt = now
+		lg.stats.LostLeases++
+		if !c.offer(now, l, lg.leaseRequest(l)) {
+			lg.park(l)
+		}
+	default:
+		c.landed(now, l, receipt)
+		l.node = idx
+		lg.live[l.id] = l
+		lg.track(idx, l.id)
+		if h := c.health; h != nil {
+			h.onAdmit(idx)
+		}
+		c.armHedge(l, c.hedge.After)
 	}
-	cs.offersInFlight--
-	c.landed(now, l, receipt)
-	l.node = idx
-	cs.ledger[l.id] = l
-	cs.track(idx, l.id)
-	if h := c.health; h != nil {
-		h.onAdmit(idx)
-	}
-	c.armHedge(l, c.hedge.After)
 	c.maybeClose()
 }
 
@@ -298,7 +303,7 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, hedge bool, l *lease, receip
 // a redelivery.
 func (c *Cluster) landed(now sim.Time, l *lease, receipt core.Lease) {
 	if l.hasArrival {
-		c.chaos.redelivered++
+		c.ledger.stats.Redelivered++
 		l.redeliveries++
 		return
 	}
@@ -307,87 +312,52 @@ func (c *Cluster) landed(now sim.Time, l *lease, receipt core.Lease) {
 	c.recorder.Arrival(now)
 }
 
-// crashedAcceptFold lands an admission that a crash voided while its
-// fold was on the wire: the crash's lease walk could not see the copy,
-// and the crash purged it (or voids it when its batch unwinds). A
-// delivery counts as admitted and voided at this instant, and is
-// redelivered, or parked when nothing is routable; a hedge copy counts
-// as fired and voided, and its lease may hedge again.
-func (c *Cluster) crashedAcceptFold(now sim.Time, hedge bool, l *lease, receipt core.Lease) {
-	cs := c.chaos
-	if hedge {
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
-		cs.hedgesFired++
-		cs.hedgesVoided++
-		if cs.ledger[l.id] == l && l.node >= 0 {
-			c.armHedge(l, c.hedge.After)
-		} else {
-			cs.releaseIfResolved(l)
-		}
-		c.maybeClose()
-		return
-	}
-	cs.offersInFlight--
-	c.landed(now, l, receipt)
-	l.voidedAt = now
-	cs.lostLeases++
-	if !c.redeliverOne(now, l) {
-		cs.park(l)
-	}
-	c.maybeClose()
-}
-
-// rejectFold lands a node-admission refusal on the front end.
-// Rejection of a delivery is terminal and counted once; a hedge
-// refusal re-arms the deadline with backoff.
-func (c *Cluster) rejectFold(now sim.Time, hedge bool, l *lease) {
-	cs := c.chaos
-	if hedge {
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
-		cs.hedgeRejected++
-		if cs.ledger[l.id] == l && l.node >= 0 {
-			c.rearmHedge(l)
-		} else {
-			cs.releaseIfResolved(l)
-		}
-	} else {
-		cs.offersInFlight--
-		cs.terminalRejected++
-		if l.hasArrival {
-			cs.redeliveredRejected++
-		} else {
-			c.recorder.Rejection(now)
-		}
-		cs.resolveLease(l)
-	}
-	c.maybeClose()
-}
-
-// bounceFold lands an offer that found its node not Up: the request
-// never reached admission, so the front end still owns it and
-// re-routes it with current knowledge — re-picking for deliveries
-// (parking when nothing is routable), re-arming the deadline for
-// hedges.
-func (c *Cluster) bounceFold(now sim.Time, hedge bool, r *coe.Request, l *lease) {
-	cs := c.chaos
-	cs.bounced++
-	if hedge {
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
-		if cs.ledger[l.id] == l && l.node >= 0 {
-			c.rearmHedge(l)
-		} else {
-			cs.releaseIfResolved(l)
-		}
+// hedgeFold lands the outcome of a lease's speculative second copy.
+// While the lease is live (held by a node, not resolved or voided
+// since the hedge fired), a bounce or rejection re-arms the deadline
+// with backoff, a copy a crash voided on the wire counts as fired and
+// voided and the deadline re-arms, and an admission makes node idx the
+// hedge holder. A copy admitted after its lease resolved or was voided
+// into a redelivery is a fired hedge nobody tracks a lease for: it is
+// recorded as an orphan on its node, so its completion counts as hedge
+// waste, exactly like a lost race, and a crash of the node as a voided
+// hedge.
+func (c *Cluster) hedgeFold(now sim.Time, op msgOp, idx int, r *coe.Request, l *lease, receipt core.Lease) {
+	lg := c.ledger
+	lg.hedgeOffers--
+	l.hedgeInFlight = false
+	live := lg.live[l.id] == l && l.node >= 0
+	switch {
+	case op == opBounce:
+		lg.stats.Bounced++
 		coe.Recycle(r)
-	} else {
-		cs.offersInFlight--
-		if !c.offer(now, l, r) {
-			cs.park(l)
+		if live {
+			c.rearmHedge(l)
 		}
+	case op == opReject:
+		lg.stats.HedgeRejected++
+		if live {
+			c.rearmHedge(l)
+		}
+	case receipt.Epoch != c.nodes[idx].sys.Epoch():
+		lg.stats.HedgesFired++
+		lg.stats.HedgesVoided++
+		if live {
+			c.armHedge(l, c.hedge.After)
+		}
+	default:
+		lg.stats.HedgesFired++
+		if live && l.hedgeNode < 0 {
+			l.hedgeNode = idx
+			if h := c.health; h != nil {
+				h.onAdmit(idx)
+			}
+		} else {
+			lg.addOrphan(l.id, idx)
+		}
+		lg.track(idx, l.id)
 	}
+	lg.releaseIfResolved(l)
 	c.maybeClose()
 }
 
@@ -400,13 +370,13 @@ func (c *Cluster) bounceFold(now sim.Time, hedge bool, r *coe.Request, l *lease)
 // redelivered, which only a nonzero hop can produce — count as
 // duplicate acks, never as completions.
 func (c *Cluster) completionFold(now sim.Time, idx int, id int64) {
-	cs := c.chaos
-	l := cs.ledger[id]
+	lg := c.ledger
+	l := lg.live[id]
 	if l == nil || (idx != l.node && idx != l.hedgeNode) {
-		if cs.takeOrphan(id, idx) {
-			cs.hedgeWasted++
+		if lg.takeOrphan(id, idx) {
+			lg.stats.HedgeWasted++
 		} else {
-			cs.dupAcks++
+			lg.stats.DupAcks++
 		}
 		return
 	}
@@ -415,27 +385,25 @@ func (c *Cluster) completionFold(now sim.Time, idx int, id int64) {
 		// A race was on: record the loser's holder so its late
 		// completion counts as hedge waste, not as a duplicate ack.
 		if idx == l.hedgeNode {
-			cs.hedgeWins++
-			cs.addOrphan(id, l.node)
+			lg.stats.HedgeWins++
+			lg.addOrphan(id, l.node)
 		} else {
-			cs.addOrphan(id, l.hedgeNode)
+			lg.addOrphan(id, l.hedgeNode)
 		}
 	}
 	if h := c.health; h != nil {
 		h.onComplete(idx, now.Sub(l.arrival).Seconds())
 	}
-	delete(cs.ledger, id)
-	cs.completions++
+	delete(lg.live, id)
+	lg.completions++
 	c.recorder.Completion(l.arrival, now)
 	if l.redeliveries > 0 {
 		d := now.Sub(l.voidedAt)
-		cs.failoverSum += d
-		cs.failoverN++
-		if d > cs.failoverMax {
-			cs.failoverMax = d
-		}
+		lg.failoverSum += d
+		lg.failoverN++
+		lg.stats.FailoverMax = max(lg.stats.FailoverMax, d)
 	}
-	cs.resolveLease(l)
+	lg.resolveLease(l)
 	if c.draining > 0 {
 		c.checkDrains(now)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,4 +120,69 @@ func TestLedgerMatrixGolden(t *testing.T) {
 		}
 		t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 	}
+}
+
+// grayPlan degrades three nodes at once — a 150x straggler, a jittery
+// node and a stalled one — with no crash.
+var grayPlan = []sim.FaultEvent{
+	{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
+	{At: 1500 * time.Millisecond, Node: 2, Kind: sim.FaultJitter, Factor: 400},
+	{At: 2 * time.Second, Node: 3, Kind: sim.FaultStall, For: 4 * time.Second},
+	{At: 9 * time.Second, Node: 1, Kind: sim.FaultRecover},
+	{At: 9 * time.Second, Node: 2, Kind: sim.FaultRecover},
+}
+
+// TestLedgerIdentityHoldsContinuously checks the ledger between every
+// few milliseconds of virtual time, not only at the fault boundaries,
+// hedge fires and stream end where verify runs on its own: the
+// exactly-once identity holds, and every live lease's ID is on the
+// crash-walk list of its primary node and of its hedge node, so a
+// crash of either finds it. Runs cover crashes, gray failures with the
+// breaker, and 300 ms hedging, at zero hop and over a slow interconnect.
+func TestLedgerIdentityHoldsContinuously(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	samples := 0
+	for _, ic := range []Interconnect{{}, slowInterconnect} {
+		for _, plan := range []struct {
+			name   string
+			events []sim.FaultEvent
+			health HealthConfig
+		}{{"two-crashes", twoCrashes, HealthConfig{}}, {"straggler-crash", stragglerCrash, grayHealth}, {"gray", grayPlan, grayHealth}} {
+			for seed := int64(1); seed <= 2; seed++ {
+				cfg := icConfig(t, &sim.FaultPlan{Events: plan.events}, plan.health, HedgeConfig{After: 300 * time.Millisecond})
+				cfg.Interconnect = ic
+				c := buildCluster(t, cfg, board.Model)
+				name := fmt.Sprintf("hop %v, %s plan, seed %d", ic.NodeLatency(0), plan.name, seed)
+				var sample func()
+				sample = func() {
+					samples++
+					lg, now := c.ledger, c.env.Now()
+					n := len(lg.violations)
+					if lg.verify(now, "sample"); len(lg.violations) > n {
+						t.Fatalf("%s: %s", name, lg.violations[n])
+					}
+					for id, l := range lg.live {
+						if !slices.Contains(lg.byNode[l.node], id) {
+							t.Fatalf("%s at %v: live lease %d is not on node%d's crash-walk list", name, now.Duration(), id, l.node)
+						}
+						if l.hedgeNode >= 0 && !slices.Contains(lg.byNode[l.hedgeNode], id) {
+							t.Fatalf("%s at %v: hedged lease %d is not on hedge node%d's crash-walk list", name, now.Duration(), id, l.hedgeNode)
+						}
+					}
+					if !c.closedAll {
+						c.env.After(5*time.Millisecond, sample)
+					}
+				}
+				c.env.After(0, sample)
+				rep, err := c.Serve(poissonFor(t, board, 30, 300, seed))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if rep.HedgesFired == 0 {
+					t.Fatalf("%s: no hedge fired; the run exercises no race", name)
+				}
+			}
+		}
+	}
+	t.Logf("%d samples", samples)
 }

@@ -154,25 +154,22 @@ type DrainRecord struct {
 	Took time.Duration
 }
 
-// report assembles the fleet aggregate after a completed stream.
+// report assembles the fleet aggregate after a completed stream,
+// starting from the counters the ledger kept in its stats.
 func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
-	r := &Report{
-		Stream:        stream,
-		Nodes:         len(c.nodes),
-		Router:        c.router.Name(),
-		Placement:     c.placement.Name(),
-		N:             c.recorder.Arrivals(),
-		Offered:       c.recorder.Arrivals() + c.recorder.Rejections(),
-		Rejected:      c.recorder.Rejections(),
-		Completions:   c.recorder.Completions(),
-		Makespan:      c.recorder.Makespan(),
-		Throughput:    c.recorder.Throughput(),
-		Latency:       c.recorder.LatencySummary(),
-		SLO:           c.cfg.SLO,
-		SLOAttainment: c.recorder.SLOAttainment(c.cfg.SLO),
-		Routed:        append([]int64(nil), c.routed...),
-		PerNode:       perNode,
-	}
+	lg := c.ledger
+	r := lg.stats
+	r.Stream, r.Nodes = stream, len(c.nodes)
+	r.Router, r.Placement = c.router.Name(), c.placement.Name()
+	r.N = c.recorder.Arrivals()
+	r.Offered = c.recorder.Arrivals() + c.recorder.Rejections()
+	r.Rejected = c.recorder.Rejections()
+	r.Completions = c.recorder.Completions()
+	r.Makespan, r.Throughput = c.recorder.Makespan(), c.recorder.Throughput()
+	r.Latency = c.recorder.LatencySummary()
+	r.SLO, r.SLOAttainment = c.cfg.SLO, c.recorder.SLOAttainment(c.cfg.SLO)
+	r.Routed = append([]int64(nil), c.routed...)
+	r.PerNode = perNode
 	if r.Offered > 0 {
 		r.RejectionRate = float64(r.Rejected) / float64(r.Offered)
 	}
@@ -204,27 +201,10 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if len(c.drainRecords) > 0 {
 		r.TimeToDrain = append([]DrainRecord(nil), c.drainRecords...)
 	}
-	cs := c.chaos
-	r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
-	r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
-	r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
-	r.LostLeases = cs.lostLeases
-	r.Redelivered = cs.redelivered
-	r.RedeliveredRejected = cs.redeliveredRejected
-	r.PendingPeak = cs.pendingPeak
-	r.Bounced = cs.bounced
-	r.DupAcks = cs.dupAcks
-	if cs.failoverN > 0 {
-		r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
-		r.FailoverMax = cs.failoverMax
+	r.Faults = r.Crashes + r.Drains + r.Recoveries + r.Slows + r.Jitters + r.Stalls
+	if lg.failoverN > 0 {
+		r.FailoverMean = lg.failoverSum / time.Duration(lg.failoverN)
 	}
-	r.HedgesFired = cs.hedgesFired
-	r.HedgeWins = cs.hedgeWins
-	r.HedgeWasted = cs.hedgeWasted
-	r.HedgeRejected = cs.hedgeRejected
-	r.HedgeRetries = cs.hedgeRetries
-	r.HedgePromoted = cs.hedgePromoted
-	r.HedgesVoided = cs.hedgesVoided
 	if h := c.health; h != nil {
 		r.BreakerTrips = h.trips
 		r.BreakerReinstates = h.reinstates
@@ -248,5 +228,5 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if total > 0 {
 		r.Imbalance = float64(max) * float64(len(c.nodes)) / float64(total)
 	}
-	return r
+	return &r
 }

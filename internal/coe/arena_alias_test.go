@@ -14,7 +14,8 @@ func TestRecycledThenRedeliveredDoesNotAliasLease(t *testing.T) {
 	a := NewArena()
 
 	// Admission: a request leases from the arena and is offered to a
-	// node; the ledger copies its chain (exactly as chaosState.open does).
+	// node; the ledger copies its chain (exactly as the cluster
+	// ledger's open does).
 	r1 := a.Lease()
 	r1.ID = 7
 	r1.Chain = append(r1.Chain, 1, 2, 3)
@@ -34,7 +35,7 @@ func TestRecycledThenRedeliveredDoesNotAliasLease(t *testing.T) {
 	}
 
 	// Redelivery: the lease materializes a fresh request from its copy
-	// (exactly as chaosState.leaseRequest does) while r2 is live.
+	// (exactly as the cluster ledger's leaseRequest does) while r2 is live.
 	r3 := a.Lease()
 	r3.ID = 7
 	r3.Chain = append(r3.Chain[:0], ledgerChain...)
